@@ -7,33 +7,46 @@
 //! memristor cells in a row-parallel way"). Costs (time and energy) come
 //! from [`crate::params`].
 //!
-//! # Storage layout: column-major planes
+//! # Storage layout: first-touch row tiles
 //!
-//! The crossbar is stored as 32 column planes of 1,024 rows each
-//! (`planes[col × 1024 + row]`), not as 1,024 row-major rows. A
-//! row-parallel `Arith` names a fixed `(dst, a, b)` column triple and a
-//! row range, so under this layout one instruction touches exactly three
-//! contiguous `&[f64]` runs — the same shape as the hardware's
-//! word-parallel bitlines — and the per-op kernels below compile to
-//! straight vector loops instead of a stride-32 gather. `Broadcast`
-//! becomes a contiguous `fill` per word. Host-side `get`/`set` and the
-//! row-buffer `Read`/`Write` path pay the transpose instead, which is
-//! fine: they move ≤32 words at a time while an `Arith` moves up to
-//! 3,072.
+//! The 1,024 rows are split into 128 fixed tiles of [`TILE_ROWS`] = 8
+//! rows. A tile holds all 32 columns column-major (`cells[col × 8 + r]`)
+//! and is 64-byte aligned, so one column of a tile is exactly one cache
+//! line. A row-parallel `Arith` names a fixed `(dst, a, b)` column
+//! triple and a row range, so in every tile the range spans it touches
+//! three contiguous `&[f64]` runs of ≤8 rows — the same shape as the
+//! hardware's word-parallel bitlines — and the per-op kernels below
+//! compile to straight vector loops instead of a stride-32 gather.
+//! `Broadcast` is a contiguous `fill` per word and tile.
+//!
+//! Tiles are allocated the first time anything *writes* them, from one
+//! arena per block; a per-block `u8` slot table maps tile → arena
+//! index. A tile that was never written reads as `0.0`, exactly like
+//! the zero-filled crossbar it stands for. The paper's per-element
+//! layout (§5.1, Fig. 5) reserves a whole crossbar per element but at
+//! `n = 2` touches only the compute rows at the top and a few constants
+//! rows from 512, so an element block holds two 2 KiB tiles instead of
+//! 256 KiB of mostly-zero cells; LUT and math-table blocks fill all 128
+//! tiles with no special case. Storage never feeds the cost model
+//! (DESIGN §12), so the layout moves no simulated second or joule.
 //!
 //! The pre-layout scalar loop is retained as [`MemBlock::arith_scalar`]
 //! and [`MemBlock::broadcast_scalar`] — the bit-exactness oracle the
 //! kernel proptests compare against, and the whole engine when the
 //! `scalar-oracle` feature is enabled (CI runs the full suite both
-//! ways).
+//! ways). Both engines share the tiled storage, so the row → tile
+//! mapping itself is proptested against a flat 1,024 × 32 reference
+//! model (`storage_tests` below).
 //!
 //! Note on precision: the functional model stores `f64` so the PIM
 //! execution can be compared bit-for-bit against the native `f64` dG
 //! solver; the *cost* model charges 32-bit operation prices throughout,
 //! matching the paper's FP32 evaluation. Mapping correctness and numeric
-//! precision are orthogonal concerns, and the column-major layout does
-//! not couple them: it changes where a word lives, never what is stored
-//! in it or what an operation on it is priced at.
+//! precision are orthogonal concerns, and the tiled layout does not
+//! couple them: it changes where a word lives, never what is stored in
+//! it or what an operation on it is priced at.
+
+use std::ops::Range;
 
 use pim_isa::{AluOp, BLOCK_ROWS, WORDS_PER_ROW};
 
@@ -46,11 +59,43 @@ pub struct OpCost {
     pub joules: f64,
 }
 
-/// One memory block.
+/// Rows per storage tile: one tile column is one 64-byte line of `f64`s.
+pub const TILE_ROWS: usize = 8;
+
+/// Tiles per block.
+const TILES: usize = BLOCK_ROWS / TILE_ROWS;
+
+/// Slot-table entry of a tile that was never written.
+const NO_TILE: u8 = u8::MAX;
+
+const _: () = assert!(TILES < NO_TILE as usize, "arena indices must fit the u8 slot table");
+
+/// [`TILE_ROWS`] rows × 32 columns, column-major:
+/// `cells[col * TILE_ROWS + r]`.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
+struct Tile([f64; TILE_ROWS * WORDS_PER_ROW]);
+
+/// `(tile, in-tile rows)` for each tile the rows `first..=last` span.
+#[inline(always)]
+fn tile_spans(first: usize, last: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (first / TILE_ROWS..last / TILE_ROWS + 1).map(move |t| {
+        let base = t * TILE_ROWS;
+        (t, first.max(base) - base..last.min(base + TILE_ROWS - 1) - base + 1)
+    })
+}
+
+/// One memory block.
+///
+/// `repr(C)` pins the field order: every op reads the arena pointer and
+/// the slot table, so they lead the struct and share its first lines.
+#[derive(Debug, Clone)]
+#[repr(C)]
 pub struct MemBlock {
-    /// Column-major storage: `planes[col * BLOCK_ROWS + row]`.
-    planes: Box<[f64]>,
+    /// Tile arena, in first-write order.
+    tiles: Vec<Tile>,
+    /// Tile → arena index, [`NO_TILE`] for a tile never written.
+    slots: [u8; TILES],
     row_buffer: [f64; WORDS_PER_ROW],
 }
 
@@ -119,10 +164,11 @@ fn map1(d: &mut [f64], x: &[f64], f: impl Fn(f64) -> f64) {
 }
 
 /// Hints the CPU to pull the line holding `p` toward the caches. The
-/// plane working set at cluster scale (thousands of 256 KiB blocks) is
-/// far larger than any cache level, so without hints nearly every cell
-/// access is a serialized DRAM miss; the interpreter knows its targets
-/// well ahead of use and issues these from a lookahead cursor.
+/// tile working set at cluster scale (tens of thousands of blocks, each
+/// a few scattered 2 KiB tiles) is far larger than any cache level, so
+/// without hints nearly every cell access is a serialized DRAM miss;
+/// the interpreter knows its targets well ahead of use and issues these
+/// from a lookahead cursor.
 #[inline(always)]
 fn prefetch_read(p: *const f64) {
     #[cfg(target_arch = "x86_64")]
@@ -136,70 +182,94 @@ fn prefetch_read(p: *const f64) {
 }
 
 impl MemBlock {
-    /// An all-zero block.
-    pub fn new() -> Self {
-        Self {
-            planes: vec![0.0; BLOCK_ROWS * WORDS_PER_ROW].into_boxed_slice(),
-            row_buffer: [0.0; WORDS_PER_ROW],
+    /// Bytes of one storage tile.
+    pub const TILE_BYTES: usize = std::mem::size_of::<Tile>();
+
+    /// An all-zero block. Holds no tiles until something writes it.
+    pub const fn new() -> Self {
+        Self { tiles: Vec::new(), slots: [NO_TILE; TILES], row_buffer: [0.0; WORDS_PER_ROW] }
+    }
+
+    /// Bytes of cell storage this block has allocated (its tile arena).
+    pub fn resident_bytes(&self) -> usize {
+        self.tiles.capacity() * Self::TILE_BYTES
+    }
+
+    /// Arena index of tile `t`, allocating it zeroed on first touch.
+    #[inline(always)]
+    fn slot_mut(&mut self, t: usize) -> usize {
+        match self.slots[t] {
+            NO_TILE => self.alloc_tile(t),
+            s => s as usize,
         }
+    }
+
+    #[cold]
+    fn alloc_tile(&mut self, t: usize) -> usize {
+        let s = self.tiles.len();
+        self.tiles.push(Tile([0.0; TILE_ROWS * WORDS_PER_ROW]));
+        self.slots[t] = s as u8;
+        s
     }
 
     /// Word accessor (row 0..1024, col 0..32).
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f64 {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
-        self.planes[col * BLOCK_ROWS + row]
+        match self.slots[row / TILE_ROWS] {
+            NO_TILE => 0.0,
+            s => self.tiles[s as usize].0[col * TILE_ROWS + row % TILE_ROWS],
+        }
     }
 
     /// Word setter — host-side preload (DMA), not charged here.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
-        self.planes[col * BLOCK_ROWS + row] = value;
+        let s = self.slot_mut(row / TILE_ROWS);
+        self.tiles[s].0[col * TILE_ROWS + row % TILE_ROWS] = value;
     }
 
     /// Best-effort software prefetch of the cells a `Read`/`Write` at
     /// `(row, offset, words)` will touch. Purely advisory — nothing
     /// observable changes, out-of-range coordinates are ignored, and on
-    /// non-x86_64 targets this compiles to nothing. `write` records the
+    /// non-x86_64 targets this compiles to nothing. `_write` records the
     /// caller's intent; both intents currently map to a plain `T0` hint
     /// because `prefetchw` measured slower than `prefetcht0` on the
     /// hardware this was tuned on.
     #[inline]
-    pub fn prefetch_words(&self, row: usize, offset: usize, words: usize, write: bool) {
+    pub fn prefetch_words(&self, row: usize, offset: usize, words: usize, _write: bool) {
+        let Some(tile) = self.slots.get(row / TILE_ROWS).and_then(|&s| self.tiles.get(s as usize))
+        else {
+            return;
+        };
         for w in 0..words {
-            self.prefetch_cell((offset + w) * BLOCK_ROWS + row, write);
+            if let Some(cell) = tile.0.get((offset + w) * TILE_ROWS + row % TILE_ROWS) {
+                prefetch_read(cell as *const f64);
+            }
         }
     }
 
-    /// Best-effort prefetch of one column plane's `first_row..=last_row`
-    /// slice (the footprint of an `Arith` operand or a `Broadcast`
-    /// destination column): one touch per cache line of `f64`s.
+    /// Best-effort prefetch of one column's `first_row..=last_row` run
+    /// (the footprint of an `Arith` operand or a `Broadcast` destination
+    /// column): one touch per written tile, since a tile column is one
+    /// cache line.
     #[inline]
-    pub fn prefetch_col(&self, col: usize, first_row: usize, last_row: usize, write: bool) {
-        if col >= WORDS_PER_ROW {
+    pub fn prefetch_col(&self, col: usize, first_row: usize, last_row: usize, _write: bool) {
+        if col >= WORDS_PER_ROW || first_row > last_row || first_row >= BLOCK_ROWS {
             return;
         }
-        let base = col * BLOCK_ROWS;
-        let mut row = first_row;
-        while row <= last_row && row < BLOCK_ROWS {
-            self.prefetch_cell(base + row, write);
-            // 8 × 8-byte cells per 64-byte line.
-            row += 8;
-        }
-    }
-
-    #[inline(always)]
-    fn prefetch_cell(&self, idx: usize, _write: bool) {
-        if let Some(cell) = self.planes.get(idx) {
-            prefetch_read(cell as *const f64);
+        for &s in &self.slots[first_row / TILE_ROWS..=last_row.min(BLOCK_ROWS - 1) / TILE_ROWS] {
+            if let Some(tile) = self.tiles.get(s as usize) {
+                prefetch_read(&tile.0[col * TILE_ROWS] as *const f64);
+            }
         }
     }
 
     /// Hints the row buffer itself (4 lines of 8 words): every
     /// `Read`/`Write`/`Copy`/`Broadcast` goes through it, and with GBs
-    /// of planes streaming past, the small per-block structs get
-    /// evicted right along with the cell data.
+    /// of tiles streaming past, the small per-block structs get evicted
+    /// right along with the cell data.
     #[inline]
     pub fn prefetch_row_buffer(&self) {
         for chunk in self.row_buffer.chunks(8) {
@@ -221,8 +291,15 @@ impl MemBlock {
     /// `Read`: cells → row buffer. One search per read.
     pub fn read_to_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "read crosses the row edge");
-        for w in 0..words {
-            self.row_buffer[w] = self.planes[(offset + w) * BLOCK_ROWS + row];
+        let r = row % TILE_ROWS;
+        match self.slots[row / TILE_ROWS] {
+            NO_TILE => self.row_buffer[..words].fill(0.0),
+            s => {
+                let cells = &self.tiles[s as usize].0;
+                for w in 0..words {
+                    self.row_buffer[w] = cells[(offset + w) * TILE_ROWS + r];
+                }
+            }
         }
         OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH }
     }
@@ -231,8 +308,14 @@ impl MemBlock {
     /// reset energy; the write takes one set plus one reset phase.
     pub fn write_from_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
-        for w in 0..words {
-            self.planes[(offset + w) * BLOCK_ROWS + row] = self.row_buffer[w];
+        // A zero-word write stores nothing, so it allocates no tile.
+        if words > 0 {
+            let r = row % TILE_ROWS;
+            let s = self.slot_mut(row / TILE_ROWS);
+            let cells = &mut self.tiles[s].0;
+            for w in 0..words {
+                cells[(offset + w) * TILE_ROWS + r] = self.row_buffer[w];
+            }
         }
         let bits = (words * 32) as f64;
         OpCost {
@@ -247,8 +330,8 @@ impl MemBlock {
     /// and broadcast to the first 512 rows before the computation
     /// begins"). Every destination row pays a write.
     ///
-    /// Column-major, each destination word is one contiguous `fill` over
-    /// the row range.
+    /// Each destination word is one contiguous `fill` per tile the row
+    /// range spans.
     pub fn broadcast(
         &mut self,
         dst_first: usize,
@@ -261,11 +344,14 @@ impl MemBlock {
         #[cfg(feature = "scalar-oracle")]
         self.broadcast_cells_scalar(dst_first, dst_last, offset, words);
         #[cfg(not(feature = "scalar-oracle"))]
-        for w in 0..words {
-            let value = self.row_buffer[w];
-            self.planes
-                [(offset + w) * BLOCK_ROWS + dst_first..(offset + w) * BLOCK_ROWS + dst_last + 1]
-                .fill(value);
+        if words > 0 {
+            for (t, rows) in tile_spans(dst_first, dst_last) {
+                let s = self.slot_mut(t);
+                let cells = &mut self.tiles[s].0;
+                for w in 0..words {
+                    cells[(offset + w) * TILE_ROWS..][rows.clone()].fill(self.row_buffer[w]);
+                }
+            }
         }
         let rows = (dst_last - dst_first + 1) as f64;
         let bits = (words * 32) as f64;
@@ -301,10 +387,11 @@ impl MemBlock {
         }
     }
 
-    /// The word-parallel data pass: three contiguous column runs, one
-    /// vector kernel per [`AluOp`]. Falls back to the scalar loop when
-    /// the destination column aliases an operand column (the compilers
-    /// never emit that shape, but a hand-written or fuzzed stream may).
+    /// The word-parallel data pass: one vector kernel per [`AluOp`],
+    /// run over the three contiguous column runs of every tile the row
+    /// range spans. Falls back to the scalar loop when the destination
+    /// column aliases an operand column (the compilers never emit that
+    /// shape, but a hand-written or fuzzed stream may).
     fn arith_cells_vector(
         &mut self,
         op: AluOp,
@@ -318,30 +405,58 @@ impl MemBlock {
         if dst == a || (uses_b && dst == b) {
             return self.arith_cells_scalar(op, first_row, last_row, dst, a, b);
         }
-        let n = last_row - first_row + 1;
-        // Split the plane storage around the destination column so the
-        // destination run borrows mutably while the operand runs borrow
-        // shared — fully safe, and the disjointness lets the kernels
-        // vectorize without aliasing checks.
-        let (before, rest) = self.planes.split_at_mut(dst * BLOCK_ROWS);
-        let (dplane, after) = rest.split_at_mut(BLOCK_ROWS);
-        let col = |c: usize| -> &[f64] {
-            if c < dst {
-                &before[c * BLOCK_ROWS + first_row..][..n]
-            } else {
-                &after[(c - dst - 1) * BLOCK_ROWS + first_row..][..n]
-            }
-        };
-        let d = &mut dplane[first_row..first_row + n];
+        // Unary ops never read `b`, which may then name `dst` itself.
+        let b = if uses_b { b } else { a };
+        let (r0, r1) = (first_row, last_row);
         match op {
-            AluOp::Add => map2(d, col(a), col(b), |x, y| x + y),
-            AluOp::Sub => map2(d, col(a), col(b), |x, y| x - y),
-            AluOp::Mul => map2(d, col(a), col(b), |x, y| x * y),
+            AluOp::Add => {
+                self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| map2(d, x, y, |x, y| x + y))
+            }
+            AluOp::Sub => {
+                self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| map2(d, x, y, |x, y| x - y))
+            }
+            AluOp::Mul => {
+                self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| map2(d, x, y, |x, y| x * y))
+            }
             // Two roundings (mul then add), exactly like the scalar
             // oracle — no `mul_add`, which would fuse them.
-            AluOp::Mac => map2_acc(d, col(a), col(b), |x, y, acc| x * y + acc),
-            AluOp::Neg => map1(d, col(a), |x| -x),
-            AluOp::Mov => map1(d, col(a), |x| x),
+            AluOp::Mac => self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| {
+                map2_acc(d, x, y, |x, y, acc| x * y + acc)
+            }),
+            AluOp::Neg => self.for_each_tile_run(r0, r1, dst, a, b, |d, x, _| map1(d, x, |x| -x)),
+            AluOp::Mov => self.for_each_tile_run(r0, r1, dst, a, b, |d, x, _| map1(d, x, |x| x)),
+        }
+    }
+
+    /// Calls `kernel(d, x, y)` on the `(dst, a, b)` column runs of every
+    /// tile `first_row..=last_row` spans, allocating the tiles it
+    /// writes. `dst` must differ from `a` and `b`.
+    #[inline(always)]
+    fn for_each_tile_run(
+        &mut self,
+        first_row: usize,
+        last_row: usize,
+        dst: usize,
+        a: usize,
+        b: usize,
+        mut kernel: impl FnMut(&mut [f64], &[f64], &[f64]),
+    ) {
+        for (t, rows) in tile_spans(first_row, last_row) {
+            let s = self.slot_mut(t);
+            // Split the tile around the destination column so the
+            // destination run borrows mutably while the operand runs
+            // borrow shared — fully safe, and the disjointness lets the
+            // kernels vectorize without aliasing checks.
+            let (before, rest) = self.tiles[s].0.split_at_mut(dst * TILE_ROWS);
+            let (dcol, after) = rest.split_at_mut(TILE_ROWS);
+            let col = |c: usize| -> &[f64] {
+                if c < dst {
+                    &before[c * TILE_ROWS..][rows.clone()]
+                } else {
+                    &after[(c - dst - 1) * TILE_ROWS..][rows.clone()]
+                }
+            };
+            kernel(&mut dcol[rows.clone()], col(a), col(b));
         }
     }
 
@@ -566,7 +681,7 @@ mod oracle_tests {
     /// Payload strategy biased toward the IEEE edge cases a wave kernel
     /// never produces but a malformed program might (the finite arm is
     /// repeated to weight it; the shimmed `prop_oneof!` picks uniformly).
-    fn arb_payload() -> impl Strategy<Value = f64> {
+    pub(super) fn arb_payload() -> impl Strategy<Value = f64> {
         prop_oneof![
             -1.0e3f64..1.0e3,
             -1.0e3f64..1.0e3,
@@ -583,7 +698,7 @@ mod oracle_tests {
         ]
     }
 
-    fn arb_op() -> impl Strategy<Value = AluOp> {
+    pub(super) fn arb_op() -> impl Strategy<Value = AluOp> {
         (0usize..AluOp::ALL.len()).prop_map(|i| AluOp::ALL[i])
     }
 
@@ -663,5 +778,301 @@ mod oracle_tests {
             prop_assert_eq!(cv, cs);
             assert_blocks_bit_identical(&vec_b, &sca_b);
         }
+    }
+}
+
+#[cfg(test)]
+mod storage_tests {
+    //! The tiled storage against a flat, row-major 1,024 × 32 reference
+    //! crossbar. Both engines share the tiles, so the scalar oracle
+    //! cannot catch a wrong row → tile mapping; this model can. Random
+    //! op sequences mix host writes, row-buffer reads and writes,
+    //! broadcasts and arithmetic over ranges that cross tile edges, read
+    //! tiles nothing ever wrote, and fill whole tables; after every op
+    //! the cells must match bit for bit and the costs exactly.
+
+    use super::oracle_tests::{arb_op, arb_payload};
+    use super::*;
+    use proptest::collection::vec as prop_vec;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set {
+            row: usize,
+            col: usize,
+            value: f64,
+        },
+        Read {
+            row: usize,
+            offset: usize,
+            words: usize,
+        },
+        Write {
+            row: usize,
+            offset: usize,
+            words: usize,
+        },
+        Broadcast {
+            first: usize,
+            last: usize,
+            offset: usize,
+            words: usize,
+        },
+        Arith {
+            op: AluOp,
+            first: usize,
+            last: usize,
+            dst: usize,
+            a: usize,
+            b: usize,
+        },
+        /// All 32K words, as a LUT or math-table preload writes them.
+        FillTable {
+            scale: f64,
+        },
+    }
+
+    /// The pre-tile crossbar: every cell present, zero until written.
+    struct Flat {
+        cells: Vec<f64>,
+        buffer: [f64; WORDS_PER_ROW],
+        /// Which tiles any op has written (the tiles the block should
+        /// hold — and only those).
+        written: [bool; TILES],
+    }
+
+    impl Flat {
+        fn new() -> Self {
+            Self {
+                cells: vec![0.0; BLOCK_ROWS * WORDS_PER_ROW],
+                buffer: [0.0; WORDS_PER_ROW],
+                written: [false; TILES],
+            }
+        }
+
+        fn cell(&mut self, row: usize, col: usize) -> &mut f64 {
+            self.written[row / TILE_ROWS] = true;
+            &mut self.cells[row * WORDS_PER_ROW + col]
+        }
+
+        /// Applies `op` and returns the cost the paper's model charges
+        /// for it (`None` for uncharged host preloads).
+        fn apply(&mut self, op: &Op) -> Option<OpCost> {
+            let write_joules = |bits: f64| bits * 0.5 * (params::E_SET + params::E_RESET);
+            match *op {
+                Op::Set { row, col, value } => *self.cell(row, col) = value,
+                Op::Read { row, offset, words } => {
+                    for w in 0..words {
+                        self.buffer[w] = self.cells[row * WORDS_PER_ROW + offset + w];
+                    }
+                    return Some(OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH });
+                }
+                Op::Write { row, offset, words } => {
+                    for w in 0..words {
+                        *self.cell(row, offset + w) = self.buffer[w];
+                    }
+                    return Some(OpCost {
+                        seconds: 2.0 * params::T_SEARCH,
+                        joules: write_joules((words * 32) as f64),
+                    });
+                }
+                Op::Broadcast { first, last, offset, words } => {
+                    for row in first..=last {
+                        for w in 0..words {
+                            *self.cell(row, offset + w) = self.buffer[w];
+                        }
+                    }
+                    let rows = (last - first + 1) as f64;
+                    return Some(OpCost {
+                        seconds: rows * 2.0 * params::T_SEARCH,
+                        joules: write_joules(rows * (words * 32) as f64),
+                    });
+                }
+                Op::Arith { op, first, last, dst, a, b } => {
+                    for row in first..=last {
+                        let at = |c: usize| self.cells[row * WORDS_PER_ROW + c];
+                        let (x, y, d) = (at(a), at(b), at(dst));
+                        *self.cell(row, dst) = match op {
+                            AluOp::Add => x + y,
+                            AluOp::Sub => x - y,
+                            AluOp::Mul => x * y,
+                            AluOp::Mac => x * y + d,
+                            AluOp::Neg => -x,
+                            AluOp::Mov => x,
+                        };
+                    }
+                    return Some(OpCost {
+                        seconds: params::nor_seconds(params::alu_cycles(op)),
+                        joules: params::alu_energy(op, (last - first + 1) as u64),
+                    });
+                }
+                Op::FillTable { scale } => {
+                    for i in 0..BLOCK_ROWS * WORDS_PER_ROW {
+                        *self.cell(i / WORDS_PER_ROW, i % WORDS_PER_ROW) = fill_value(i, scale);
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    fn fill_value(i: usize, scale: f64) -> f64 {
+        (i as f64 - 16384.0) * scale
+    }
+
+    fn apply(block: &mut MemBlock, op: &Op) -> Option<OpCost> {
+        match *op {
+            Op::Set { row, col, value } => block.set(row, col, value),
+            Op::Read { row, offset, words } => {
+                return Some(block.read_to_buffer(row, offset, words))
+            }
+            Op::Write { row, offset, words } => {
+                return Some(block.write_from_buffer(row, offset, words));
+            }
+            Op::Broadcast { first, last, offset, words } => {
+                return Some(block.broadcast(first, last, offset, words));
+            }
+            Op::Arith { op, first, last, dst, a, b } => {
+                return Some(block.arith(op, first, last, dst, a, b));
+            }
+            Op::FillTable { scale } => {
+                for i in 0..BLOCK_ROWS * WORDS_PER_ROW {
+                    block.set(i / WORDS_PER_ROW, i % WORDS_PER_ROW, fill_value(i, scale));
+                }
+            }
+        }
+        None
+    }
+
+    /// Rows concentrated on the tiles a per-element mapping uses (the
+    /// compute rows from 0 and the constants rows from 512, each pair
+    /// straddling a tile edge), plus anywhere in the crossbar.
+    fn arb_row() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..2 * TILE_ROWS, 512usize..512 + 2 * TILE_ROWS, 0usize..BLOCK_ROWS]
+    }
+
+    /// `first..=last` ranges: short ones that often cross one tile edge,
+    /// and long ones that cross many.
+    fn arb_range() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            (arb_row(), 0usize..2 * TILE_ROWS),
+            (arb_row(), 0usize..2 * TILE_ROWS),
+            (0usize..BLOCK_ROWS, 0usize..BLOCK_ROWS),
+        ]
+        .prop_map(|(first, len)| (first, (first + len).min(BLOCK_ROWS - 1)))
+    }
+
+    /// `(offset, words)` within one row.
+    fn arb_words() -> impl Strategy<Value = (usize, usize)> {
+        (0usize..WORDS_PER_ROW, 0usize..=WORDS_PER_ROW)
+            .prop_map(|(offset, words)| (offset, words.min(WORDS_PER_ROW - offset)))
+    }
+
+    fn arb_col() -> impl Strategy<Value = usize> {
+        0usize..WORDS_PER_ROW
+    }
+
+    fn arb_set() -> impl Strategy<Value = Op> {
+        (arb_row(), arb_col(), arb_payload()).prop_map(|(row, col, value)| Op::Set {
+            row,
+            col,
+            value,
+        })
+    }
+
+    fn arb_read(rows: impl Strategy<Value = usize>) -> impl Strategy<Value = Op> {
+        (rows, arb_words()).prop_map(|(row, (offset, words))| Op::Read { row, offset, words })
+    }
+
+    fn arb_arith() -> impl Strategy<Value = Op> {
+        (arb_op(), arb_range(), arb_col(), arb_col(), arb_col())
+            .prop_map(|(op, (first, last), dst, a, b)| Op::Arith { op, first, last, dst, a, b })
+    }
+
+    /// Repeated arms weight the uniform `prop_oneof!`: host writes and
+    /// arithmetic fill tiles, and the uniform-row read mostly lands on
+    /// tiles nothing wrote.
+    fn arb_storage_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            arb_set(),
+            arb_set(),
+            arb_read(arb_row()),
+            arb_read(0usize..BLOCK_ROWS),
+            (arb_row(), arb_words()).prop_map(|(row, (offset, words))| Op::Write {
+                row,
+                offset,
+                words
+            }),
+            (arb_range(), arb_words()).prop_map(|((first, last), (offset, words))| {
+                Op::Broadcast { first, last, offset, words }
+            }),
+            arb_arith(),
+            arb_arith(),
+        ]
+    }
+
+    fn assert_matches_reference(block: &MemBlock, flat: &Flat, step: usize, op: &Op) {
+        for row in 0..BLOCK_ROWS {
+            for col in 0..WORDS_PER_ROW {
+                let (got, want) = (block.get(row, col), flat.cells[row * WORDS_PER_ROW + col]);
+                assert!(
+                    got.to_bits() == want.to_bits(),
+                    "after op {step} ({op:?}): cell (row {row}, col {col}) is {got:?}, \
+                     the flat reference holds {want:?}"
+                );
+            }
+        }
+        for (w, (got, want)) in block.row_buffer().iter().zip(&flat.buffer).enumerate() {
+            assert!(got.to_bits() == want.to_bits(), "after op {step} ({op:?}): buffer word {w}");
+        }
+        let expected = flat.written.iter().filter(|&&w| w).count();
+        assert_eq!(block.tiles.len(), expected, "after op {step} ({op:?}): tiles held");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tiled_storage_matches_a_flat_crossbar(
+            ops in prop_vec(arb_storage_op(), 1..24),
+            fill in 0usize..3,
+            fill_at in 0usize..24,
+            scale in prop_oneof![Just(0.5f64), Just(-0.25f64), Just(1.0e-300f64)],
+        ) {
+            let mut ops = ops;
+            // One case in three fills the whole crossbar somewhere in
+            // the sequence, the way a LUT or math-table preload does.
+            if fill == 0 {
+                ops.insert(fill_at.min(ops.len()), Op::FillTable { scale });
+            }
+            let mut block = MemBlock::new();
+            let mut flat = Flat::new();
+            for (step, op) in ops.iter().enumerate() {
+                let got = apply(&mut block, op);
+                let want = flat.apply(op);
+                prop_assert_eq!(got, want, "cost of op {} ({:?})", step, op);
+                assert_matches_reference(&block, &flat, step, op);
+            }
+        }
+    }
+
+    #[test]
+    fn resident_bytes_count_written_tiles_only() {
+        let mut block = MemBlock::new();
+        let _ = block.read_to_buffer(700, 0, WORDS_PER_ROW);
+        assert_eq!(block.resident_bytes(), 0, "reads allocate nothing");
+        block.set(7, 0, 1.0);
+        block.set(8, 0, 1.0);
+        assert_eq!(
+            block.resident_bytes(),
+            2 * MemBlock::TILE_BYTES,
+            "rows 7 and 8 straddle a tile edge"
+        );
+        for i in 0..BLOCK_ROWS * WORDS_PER_ROW {
+            block.set(i / WORDS_PER_ROW, i % WORDS_PER_ROW, i as f64);
+        }
+        assert_eq!(block.resident_bytes(), TILES * MemBlock::TILE_BYTES);
+        assert_eq!(MemBlock::TILE_BYTES, TILE_ROWS * WORDS_PER_ROW * 8);
     }
 }

@@ -89,12 +89,12 @@ pub struct PimChip {
     htree: HTreeNetwork,
     bus: BusNetwork,
     host: HostModel,
-    /// Block contents, indexed by `BlockId.0`. Allocation stays lazy —
-    /// an untouched block is `None` (a Gb16 chip has 131K blocks ×
-    /// 256 KiB each, so materializing all of them up front would be
-    /// 32 GiB) — but lookup is a single indexed load into a table of
-    /// pointers instead of a hash probe, and the slot can be prefetched
-    /// ahead of use (see [`Self::prefetch_instr`]).
+    /// Block contents, indexed by `BlockId.0`. Allocation is lazy at two
+    /// levels: an untouched block is `None` (a Gb16 chip has 131K
+    /// blocks), and a touched one allocates only the 2 KiB row tiles
+    /// something wrote (see [`MemBlock`]). Lookup is a single indexed
+    /// load into a table of pointers instead of a hash probe, and the
+    /// slot can be prefetched ahead of use (see [`Self::prefetch_instr`]).
     blocks: Vec<Option<Box<MemBlock>>>,
     /// Dense per-block timelines, indexed by `BlockId.0`: the ready/busy
     /// clocks are one `f64` per block, so the interpreter's hot path
@@ -248,7 +248,7 @@ fn block_local(instr: &Instr) -> Option<BlockId> {
 /// appears here. Store targets use the write-intent hint. Ops that go
 /// through the row buffer also hint the buffer itself — the per-block
 /// structs are tiny but there are thousands of them, so they miss just
-/// like the plane data once the working set outgrows the caches.
+/// like the cell data once the working set outgrows the caches.
 #[inline]
 fn prefetch_block_local(b: &MemBlock, instr: &Instr) {
     match *instr {
@@ -426,10 +426,12 @@ impl PimChip {
         &self.host
     }
 
-    /// Read access to a block's storage (allocating it zeroed if new).
-    pub fn block(&mut self, id: BlockId) -> &MemBlock {
+    /// Read access to a block's storage. An untouched block reads as a
+    /// shared all-zero block and stays unallocated.
+    pub fn block(&self, id: BlockId) -> &MemBlock {
+        static ZERO: MemBlock = MemBlock::new();
         self.check_block(id);
-        self.blocks[id.0 as usize].get_or_insert_with(Box::default)
+        self.blocks[id.0 as usize].as_deref().unwrap_or(&ZERO)
     }
 
     /// Mutable access for host-side preloading of inputs and LUT contents
@@ -439,6 +441,18 @@ impl PimChip {
     pub fn block_mut(&mut self, id: BlockId) -> &mut MemBlock {
         self.check_block(id);
         self.blocks[id.0 as usize].get_or_insert_with(Box::default)
+    }
+
+    /// The blocks something has written or executed on, in id order
+    /// (untouched blocks hold no storage and are skipped).
+    pub fn resident_blocks(&self) -> impl Iterator<Item = (BlockId, &MemBlock)> {
+        self.blocks.iter().enumerate().filter_map(|(i, b)| Some((BlockId(i as u32), b.as_deref()?)))
+    }
+
+    /// Bytes of cell storage held across all blocks: the sum of
+    /// [`MemBlock::resident_bytes`].
+    pub fn resident_cell_bytes(&self) -> usize {
+        self.resident_blocks().map(|(_, b)| b.resident_bytes()).sum()
     }
 
     fn check_block(&self, id: BlockId) {
@@ -639,7 +653,7 @@ impl PimChip {
         // Decoupled access/execute: the whole stream is known up front,
         // so a prefetch cursor runs ahead of the instruction being
         // executed and hints the cells it will touch into the caches.
-        // At cluster scale the plane working set is GBs spread over
+        // At cluster scale the cell working set is spread over tens of
         // thousands of blocks — without the hints nearly every cell
         // access is a dependent DRAM miss paid one at a time.
         let mut pf = 0;
@@ -700,7 +714,7 @@ impl PimChip {
         }
     }
 
-    /// Best-effort prefetch of the plane cells `instr` will touch.
+    /// Best-effort prefetch of the cells `instr` will touch.
     /// Only already-materialized blocks are hinted (a `None` slot means
     /// the block is still all zeros and will be allocated on first
     /// touch); nothing observable changes either way.
@@ -727,8 +741,8 @@ impl PimChip {
                 }
             }
             Instr::Copy { src, dst, .. } => {
-                // Copy moves one row buffer into another: no plane
-                // cells, but both block structs get touched.
+                // Copy moves one row buffer into another: no cells,
+                // but both block structs get touched.
                 if let Some(b) = resident(src) {
                     b.prefetch_row_buffer();
                 }
@@ -1685,12 +1699,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the 512MB chip")]
     fn block_bounds_are_enforced() {
-        let mut c = PimChip::new(ChipConfig {
+        let c = PimChip::new(ChipConfig {
             capacity: ChipCapacity::Mb512,
             interconnect: InterconnectKind::HTree,
             node: ProcessNode::Nm28,
         });
         let _ = c.block(BlockId(ChipCapacity::Mb512.num_blocks() as u32));
+    }
+
+    #[test]
+    fn reading_an_untouched_block_leaves_it_unallocated() {
+        let mut c = chip();
+        assert_eq!(c.block(BlockId(3)).get(1023, 31), 0.0);
+        assert_eq!(c.block(BlockId(3)).row_buffer(), &[0.0; WORDS_PER_ROW]);
+        assert!(c.blocks[3].is_none(), "a read must not allocate the block");
+        // A row-buffer copy out of an untouched block reads it too.
+        let mut s = InstrStream::new();
+        s.push(Instr::Copy { src: BlockId(3), dst: BlockId(4), words: 4 });
+        c.execute(&s);
+        assert!(c.blocks[3].is_none(), "a copy source must not be allocated");
+        assert_eq!(c.resident_cell_bytes(), 0, "no cell was written");
+        c.block_mut(BlockId(4)).set(9, 2, 1.5);
+        assert_eq!(c.resident_cell_bytes(), MemBlock::TILE_BYTES);
     }
 
     #[test]

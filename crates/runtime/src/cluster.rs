@@ -1538,6 +1538,16 @@ impl ClusterRunner {
         self.chips.iter().map(PimChip::config).collect()
     }
 
+    /// The simulated chips, in chip order.
+    pub fn chips(&self) -> &[PimChip] {
+        &self.chips
+    }
+
+    /// Per-chip shard mappings, in chip order.
+    pub fn mappings(&self) -> &[AcousticMapping] {
+        &self.mappings
+    }
+
     /// Per-chip trace process ids (allocated at construction).
     pub fn trace_pids(&mut self) -> Vec<u32> {
         self.chips.iter_mut().map(|c| c.trace_pid()).collect()
