@@ -20,70 +20,262 @@
 //! between kernel passes, exactly the extra DRAM traffic the paper's
 //! batching overhead model charges.
 
-use pim_isa::InstrStream;
+use pim_isa::{Instr, InstrStream};
 use pim_sim::PimChip;
 use wavesim_dg::{AcousticMaterial, FluxKind, Lsrk5, State};
-use wavesim_mesh::HexMesh;
+use wavesim_mesh::{Boundary, HexMesh};
 
 use crate::compiler::AcousticMapping;
 use crate::program_cache::StageProgram;
 
-/// One batch's kernel programs, compiled once at construction against
-/// that batch's (deterministic) block map and replayed every pass. The
-/// per-pass `install_map` still runs — the host-side data movers need
-/// the placement — but the streams themselves never recompile; debug
-/// builds assert each replay against a fresh compile.
-struct BatchPrograms {
-    /// Volume under the batch-only map (no boundary slices resident).
-    volume: InstrStream,
-    /// LUT setup under the batch + boundary map.
-    lut: InstrStream,
-    /// Flux under the batch + boundary map.
-    flux: InstrStream,
-    /// Integration under the batch-only map, with the per-stage `A`/`B`
-    /// patch table.
-    integration: StageProgram,
-    /// Debug builds verify the stage-invariant streams against a fresh
-    /// compile once (they are immutable afterwards, so re-checking every
-    /// step would only re-pay the compilation the cache removes).
+/// The y-slice partition of a batched run (shared by the acoustic and
+/// elastic runners), with every pass's block map built once.
+pub(crate) struct BatchPlan {
+    /// Element lists per batch (whole y-slices).
+    pub(crate) batches: Vec<Vec<usize>>,
+    /// Per batch: the residents followed by the out-of-batch boundary
+    /// elements whose variables must be resident during its Flux pass.
+    pub(crate) visible: Vec<Vec<usize>>,
+    /// Per batch: the block maps of its batch-only passes (Volume,
+    /// Integration) and of its Flux pass.
+    maps: Vec<[Vec<u32>; 2]>,
+}
+
+/// The block map of one batch pass: `placed` packs from slot 0, and
+/// everything else is parked past the window in element order.
+fn batch_map(total: usize, placed: &[usize]) -> Vec<u32> {
+    let mut map = vec![u32::MAX; total];
+    for (slot, &e) in placed.iter().enumerate() {
+        map[e] = slot as u32;
+    }
+    for (next, slot) in (placed.len() as u32..).zip(map.iter_mut().filter(|s| **s == u32::MAX)) {
+        *slot = next;
+    }
+    map
+}
+
+impl BatchPlan {
+    /// Splits `mesh` into `num_batches` groups of consecutive y-slices.
+    /// Each element takes `blocks_per_element` blocks, and a batch plus
+    /// its boundary slices plus the LUT's slot must fit `capacity_blocks`.
+    ///
+    /// # Panics
+    /// Panics on fewer than two batches, an uneven slice split, or a
+    /// capacity violation.
+    pub(crate) fn new(
+        mesh: &HexMesh,
+        num_batches: usize,
+        capacity_blocks: usize,
+        blocks_per_element: usize,
+        unit: &str,
+    ) -> Self {
+        let slices = mesh.num_slices();
+        assert!(num_batches >= 2, "batching needs at least two batches");
+        assert_eq!(slices % num_batches, 0, "slices must split evenly into batches");
+        let slices_per_batch = slices / num_batches;
+        let periodic = mesh.boundary() == Boundary::Periodic;
+        let elements_of = |s: usize| mesh.slice_elements(s).map(|e| e.index());
+
+        let mut plan = Self { batches: Vec::new(), visible: Vec::new(), maps: Vec::new() };
+        for b in 0..num_batches {
+            let (first, last) = (b * slices_per_batch, (b + 1) * slices_per_batch - 1);
+            let elems: Vec<usize> = (first..=last).flat_map(elements_of).collect();
+            // Boundary slices: the y-neighbors just outside the batch,
+            // wrapping only on periodic meshes (a wall needs no neighbor).
+            let below = if first > 0 { Some(first - 1) } else { periodic.then(|| slices - 1) };
+            let above = if last + 1 < slices { Some(last + 1) } else { periodic.then_some(0) };
+            let mut extra: Vec<usize> = [below, above]
+                .into_iter()
+                .flatten()
+                .filter(|s| !(first..=last).contains(s))
+                .flat_map(elements_of)
+                .collect();
+            extra.sort_unstable();
+            extra.dedup();
+            assert!(
+                (elems.len() + extra.len() + 1) * blocks_per_element <= capacity_blocks,
+                "batch {b}: {} resident + {} boundary {unit} exceed {capacity_blocks} blocks",
+                elems.len(),
+                extra.len()
+            );
+            let total = mesh.num_elements();
+            let visible: Vec<usize> = elems.iter().chain(&extra).copied().collect();
+            plan.maps.push([batch_map(total, &elems), batch_map(total, &visible)]);
+            plan.batches.push(elems);
+            plan.visible.push(visible);
+        }
+        plan
+    }
+
+    /// Installs batch `b`'s block map for `kernel`: residents first,
+    /// then (for LUT setup and Flux) its boundary elements, everything
+    /// else parked past the window (never touched during this pass).
+    pub(crate) fn install<M: BatchKernels>(&self, mapping: &mut M, b: usize, kernel: BatchKernel) {
+        let flux = matches!(kernel, BatchKernel::LutSetup | BatchKernel::Flux);
+        mapping.install(self.maps[b][flux as usize].clone());
+    }
+}
+
+/// One kernel of a batch pass.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum BatchKernel {
+    Volume,
+    LutSetup,
+    Flux,
+    Integration(usize),
+}
+
+/// The kernels of a batch's four cached programs: Volume, LUT setup and
+/// Flux, then Integration with one variant per LSRK stage.
+fn program_kernels() -> [Vec<BatchKernel>; 4] {
+    use BatchKernel::*;
+    [vec![Volume], vec![LutSetup], vec![Flux], (0..Lsrk5::STAGES).map(Integration).collect()]
+}
+
+/// What the batch program cache needs from a mapping: installing a
+/// block map and compiling a kernel for a subset of elements. A subset
+/// must compile to its elements' single-element streams concatenated,
+/// with the closing `Sync` they end in (if any) kept once, at the end.
+pub(crate) trait BatchKernels {
+    fn install(&mut self, map: Vec<u32>);
+    fn compile(&self, kernel: BatchKernel, elems: &[usize]) -> InstrStream;
+
+    /// Whether compiling `kernel` for `elems` reproduces `stream`. It
+    /// compiles one element at a time, so a batch whose program is
+    /// already cached never materializes a second copy.
+    fn reproduces(&self, kernel: BatchKernel, elems: &[usize], stream: &InstrStream) -> bool {
+        let mut rest = stream.instrs();
+        for &e in elems {
+            let one = self.compile(kernel, &[e]);
+            let body = one.instrs().strip_suffix(&[Instr::Sync]).unwrap_or(one.instrs());
+            let Some(tail) = rest.strip_prefix(body) else { return false };
+            rest = tail;
+        }
+        matches!(rest, [] | [Instr::Sync])
+    }
+}
+
+/// The acoustic and elastic mappings name their subset compilers alike;
+/// only the map setter differs.
+macro_rules! impl_batch_kernels {
+    ($mapping:ty, $set_map:ident) => {
+        impl BatchKernels for $mapping {
+            fn install(&mut self, map: Vec<u32>) {
+                self.$set_map(map);
+            }
+
+            fn compile(&self, kernel: BatchKernel, elems: &[usize]) -> InstrStream {
+                match kernel {
+                    BatchKernel::Volume => self.compile_volume_for(elems),
+                    BatchKernel::LutSetup => self.compile_lut_setup_for(elems),
+                    BatchKernel::Flux => self.compile_flux_for(elems),
+                    BatchKernel::Integration(stage) => self.compile_integration_for(elems, stage),
+                }
+            }
+        }
+    };
+}
+
+impl_batch_kernels!(AcousticMapping, set_block_map);
+impl_batch_kernels!(crate::compiler_elastic::ElasticMapping, set_quartet_map);
+
+/// Every batch's kernel programs, compiled once at construction and
+/// replayed every pass. Each batch's maps are a pure function of the
+/// partition, so every stream of every pass is known before the time
+/// loop. Programs are interned by content: batches whose streams are
+/// byte-equal (the translation-symmetric batches of a periodic mesh)
+/// share one copy, and the equality check compiles element by element,
+/// so the cache holds only the memory of its distinct programs. Debug
+/// builds check each batch's replay of each kernel, and of each
+/// Integration stage, once against a fresh compile.
+pub(crate) struct BatchPrograms {
+    /// Distinct programs; Volume, LUT setup and Flux have one variant.
+    pool: Vec<StageProgram>,
+    /// Per batch: the pool indices of its programs, in
+    /// [`program_kernels`] order.
+    slots: Vec<[usize; 4]>,
     #[cfg(debug_assertions)]
-    verified_invariant: bool,
+    verified: std::collections::HashSet<(usize, BatchKernel)>,
+}
+
+impl BatchPrograms {
+    pub(crate) fn compile<M: BatchKernels>(mapping: &mut M, plan: &BatchPlan) -> Self {
+        let mut pool: Vec<StageProgram> = Vec::new();
+        let mut slots = vec![[0; 4]; plan.batches.len()];
+        for (b, res) in plan.batches.iter().enumerate() {
+            for (slot, kernels) in program_kernels().iter().enumerate() {
+                plan.install(mapping, b, kernels[0]);
+                let m = &*mapping;
+                let cached = pool.iter_mut().position(|p| {
+                    p.num_stages() == kernels.len()
+                        && kernels
+                            .iter()
+                            .enumerate()
+                            .all(|(s, &k)| m.reproduces(k, res, p.for_stage(s)))
+                });
+                slots[b][slot] = cached.unwrap_or_else(|| {
+                    pool.push(StageProgram::new(
+                        kernels.iter().map(|&k| m.compile(k, res)).collect(),
+                    ));
+                    pool.len() - 1
+                });
+            }
+        }
+        Self {
+            pool,
+            slots,
+            #[cfg(debug_assertions)]
+            verified: Default::default(),
+        }
+    }
+
+    /// Batch `b`'s cached stream for `kernel`. `mapping` must hold the
+    /// pass's map and `res` the batch's residents: debug builds compare
+    /// the first replay with a fresh compile from them.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn get<M: BatchKernels>(
+        &mut self,
+        mapping: &M,
+        b: usize,
+        kernel: BatchKernel,
+        res: &[usize],
+    ) -> &InstrStream {
+        let (slot, stage) = match kernel {
+            BatchKernel::Volume => (0, 0),
+            BatchKernel::LutSetup => (1, 0),
+            BatchKernel::Flux => (2, 0),
+            BatchKernel::Integration(stage) => (3, stage),
+        };
+        let stream = self.pool[self.slots[b][slot]].for_stage(stage);
+        #[cfg(debug_assertions)]
+        if self.verified.insert((b, kernel)) {
+            assert_eq!(
+                stream,
+                &mapping.compile(kernel, res),
+                "cached {kernel:?} replay of batch {b} diverged from a fresh compile"
+            );
+        }
+        stream
+    }
+
+    /// Cached instructions across the distinct programs (one
+    /// Integration variant each; the others are patch rows).
+    pub(crate) fn num_instrs(&self) -> u64 {
+        self.pool.iter().map(|p| p.len() as u64).sum()
+    }
 }
 
 /// A batched acoustic simulation runner: the functional counterpart of
 /// the `B` technique rows of Table 5.
 pub struct BatchedAcousticRunner {
     mapping: AcousticMapping,
-    /// Element lists per batch (whole y-slices).
-    batches: Vec<Vec<usize>>,
-    /// Per batch: the out-of-batch boundary elements whose variables
-    /// must be resident during the batch's Flux pass.
-    boundary: Vec<Vec<usize>>,
-    /// Per batch: the compile-once kernel programs.
-    programs: Vec<BatchPrograms>,
+    plan: BatchPlan,
+    programs: BatchPrograms,
     dt: f64,
     /// Off-chip state (the host-side HBM2 image).
     vars: State,
     aux: State,
     contribs: State,
-}
-
-/// The block map of one batch pass: residents pack from block 0, then
-/// the boundary extras, then everything else parked past the window.
-fn batch_map(total: usize, residents: &[usize], extras: &[usize]) -> Vec<u32> {
-    let mut map = vec![0u32; total];
-    let mut next = 0u32;
-    for &e in residents.iter().chain(extras) {
-        map[e] = next;
-        next += 1;
-    }
-    for (e, slot) in map.iter_mut().enumerate() {
-        if !residents.contains(&e) && !extras.contains(&e) {
-            *slot = next;
-            next += 1;
-        }
-    }
-    map
 }
 
 impl BatchedAcousticRunner {
@@ -104,101 +296,24 @@ impl BatchedAcousticRunner {
         num_batches: usize,
         capacity_blocks: usize,
     ) -> Self {
-        let slices = mesh.num_slices();
-        assert!(num_batches >= 2, "batching needs at least two batches");
-        assert_eq!(slices % num_batches, 0, "slices must split evenly into batches");
-        let slices_per_batch = slices / num_batches;
-
-        let mut batches = Vec::new();
-        let mut boundary = Vec::new();
-        for b in 0..num_batches {
-            let first = b * slices_per_batch;
-            let last = first + slices_per_batch - 1;
-            let mut elems = Vec::new();
-            for s in first..=last {
-                elems.extend(mesh.slice_elements(s).map(|e| e.index()));
-            }
-            // Boundary slices: the y-neighbors just outside the batch
-            // (wrapping only on periodic meshes; a wall face needs no
-            // neighbor slice).
-            let periodic = mesh.boundary() == wavesim_mesh::Boundary::Periodic;
-            let mut candidates = Vec::new();
-            if first > 0 {
-                candidates.push(first - 1);
-            } else if periodic {
-                candidates.push(slices - 1);
-            }
-            if last + 1 < slices {
-                candidates.push(last + 1);
-            } else if periodic {
-                candidates.push(0);
-            }
-            let mut extra = Vec::new();
-            for s in candidates {
-                if !(first..=last).contains(&s) {
-                    extra.extend(mesh.slice_elements(s).map(|e| e.index()));
-                }
-            }
-            extra.sort_unstable();
-            extra.dedup();
-            assert!(
-                elems.len() + extra.len() < capacity_blocks,
-                "batch {b}: {} resident + {} boundary elements exceed {capacity_blocks} blocks",
-                elems.len(),
-                extra.len()
-            );
-            batches.push(elems);
-            boundary.push(extra);
-        }
-
-        // Placement: within a batch pass, residents pack from block 0
-        // and boundary slices take the following blocks. Because every
-        // batch reuses the same window, the block map is installed fresh
-        // per pass (`install_map`).
-        let nodes = initial.nodes_per_element();
+        let plan = BatchPlan::new(&mesh, num_batches, capacity_blocks, 1, "elements");
         let materials = vec![material; mesh.num_elements()];
         let mut mapping = AcousticMapping::new(mesh, n, flux_kind, materials);
-        assert_eq!(initial.nodes_per_element(), nodes);
-
-        // Compile-once program cache: each batch's maps are a pure
-        // function of the partition, so every kernel stream of every
-        // pass is known here, before the time loop.
-        let total = initial.num_elements();
-        let mut programs = Vec::with_capacity(num_batches);
-        for (residents, extras) in batches.iter().zip(&boundary) {
-            mapping.set_block_map(batch_map(total, residents, &[]));
-            let volume = mapping.compile_volume_for(residents);
-            let integration = StageProgram::new(
-                (0..Lsrk5::STAGES).map(|s| mapping.compile_integration_for(residents, s)).collect(),
-            );
-            mapping.set_block_map(batch_map(total, residents, extras));
-            let lut = mapping.compile_lut_setup_for(residents);
-            let flux = mapping.compile_flux_for(residents);
-            programs.push(BatchPrograms {
-                volume,
-                lut,
-                flux,
-                integration,
-                #[cfg(debug_assertions)]
-                verified_invariant: false,
-            });
-        }
-
+        let programs = BatchPrograms::compile(&mut mapping, &plan);
         Self {
             mapping,
-            batches,
-            boundary,
+            plan,
             programs,
             dt,
             vars: initial.clone(),
-            aux: State::zeros(initial.num_elements(), 4, nodes),
-            contribs: State::zeros(initial.num_elements(), 4, nodes),
+            aux: State::zeros(initial.num_elements(), 4, initial.nodes_per_element()),
+            contribs: State::zeros(initial.num_elements(), 4, initial.nodes_per_element()),
         }
     }
 
     /// Number of batches.
     pub fn num_batches(&self) -> usize {
-        self.batches.len()
+        self.plan.batches.len()
     }
 
     /// The current off-chip variable state.
@@ -206,18 +321,10 @@ impl BatchedAcousticRunner {
         &self.vars
     }
 
-    /// Installs the block map for a batch pass: residents first, then
-    /// the boundary elements, everything else parked past the window
-    /// (never touched during this pass).
-    fn install_map(&mut self, batch: usize, with_boundary: bool) -> (Vec<usize>, Vec<usize>) {
-        let residents = self.batches[batch].clone();
-        let extras = if with_boundary { self.boundary[batch].clone() } else { Vec::new() };
-        self.mapping.set_block_map(batch_map(self.vars.num_elements(), &residents, &extras));
-        (residents, extras)
-    }
-
     /// Advances one time-step: five LSRK stages, each as three batched
-    /// kernel passes with off-chip swaps.
+    /// kernel passes with off-chip swaps. The streams replay from the
+    /// program cache; the per-pass map install still places the batch
+    /// for the host-side data movers.
     ///
     /// When tracing is enabled, each kernel pass (load → compute →
     /// store, per Figs. 6–7) is recorded as one kernel window on the
@@ -227,87 +334,48 @@ impl BatchedAcousticRunner {
         use crate::tracehooks::{begin_kernel_span, end_kernel_span};
         use pim_trace::Kernel;
 
+        let (m, plan, programs) = (&mut self.mapping, &self.plan, &mut self.programs);
         for stage in 0..Lsrk5::STAGES {
             let stage_t0 = begin_kernel_span(chip);
 
             // --- Volume pass (Fig. 6): per batch, load → compute → store.
-            // The streams replay from the program cache; `install_map`
-            // still places the batch for the host-side data movers.
             let t0 = begin_kernel_span(chip);
-            for b in 0..self.num_batches() {
-                let (residents, _) = self.install_map(b, false);
-                self.mapping.preload_static_subset(chip, self.dt, &residents);
-                self.mapping.load_vars_subset(chip, &self.vars, &residents);
-                #[cfg(debug_assertions)]
-                if !self.programs[b].verified_invariant {
-                    assert_eq!(
-                        &self.programs[b].volume,
-                        &self.mapping.compile_volume_for(&residents),
-                        "cached Volume replay diverged from a fresh compile"
-                    );
-                }
-                chip.execute(&self.programs[b].volume);
-                self.mapping.extract_contribs_subset(chip, &residents, &mut self.contribs);
+            for (b, res) in plan.batches.iter().enumerate() {
+                plan.install(m, b, BatchKernel::Volume);
+                m.preload_static_subset(chip, self.dt, res);
+                m.load_vars_subset(chip, &self.vars, res);
+                chip.execute(programs.get(m, b, BatchKernel::Volume, res));
+                m.extract_contribs_subset(chip, res, &mut self.contribs);
             }
             end_kernel_span(chip, Kernel::Volume, stage as u8, t0);
 
             // --- Flux pass (Fig. 7): per batch, load batch + boundary
             // slices, accumulate flux into the stored contributions.
             let t0 = begin_kernel_span(chip);
-            for b in 0..self.num_batches() {
-                let (residents, extras) = self.install_map(b, true);
-                let mut all = residents.clone();
-                all.extend_from_slice(&extras);
-                self.mapping.preload_static_subset(chip, self.dt, &all);
+            for (b, (res, all)) in plan.batches.iter().zip(&plan.visible).enumerate() {
+                plan.install(m, b, BatchKernel::Flux);
+                m.preload_static_subset(chip, self.dt, all);
                 // Pre-stage variables for everyone visible this pass.
-                self.mapping.load_vars_subset(chip, &self.vars, &all);
+                m.load_vars_subset(chip, &self.vars, all);
                 // Resume the residents' contributions from off-chip.
-                self.mapping.load_contribs_subset(chip, &self.contribs, &residents);
-                // The stage-invariant streams are byte-checked against a
-                // fresh compile once per batch (Volume saw this flag in
-                // its pass above), then replayed unverified.
-                #[cfg(debug_assertions)]
-                if !self.programs[b].verified_invariant {
-                    assert_eq!(
-                        &self.programs[b].lut,
-                        &self.mapping.compile_lut_setup_for(&residents),
-                        "cached LUT-setup replay diverged from a fresh compile"
-                    );
-                    assert_eq!(
-                        &self.programs[b].flux,
-                        &self.mapping.compile_flux_for(&residents),
-                        "cached Flux replay diverged from a fresh compile"
-                    );
-                    self.programs[b].verified_invariant = true;
-                }
-                chip.execute(&self.programs[b].lut);
-                chip.execute(&self.programs[b].flux);
-                self.mapping.extract_contribs_subset(chip, &residents, &mut self.contribs);
+                m.load_contribs_subset(chip, &self.contribs, res);
+                chip.execute(programs.get(m, b, BatchKernel::LutSetup, res));
+                chip.execute(programs.get(m, b, BatchKernel::Flux, res));
+                m.extract_contribs_subset(chip, res, &mut self.contribs);
             }
             end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
 
             // --- Integration pass (Fig. 6): per batch, with aux state.
             let t0 = begin_kernel_span(chip);
-            for b in 0..self.num_batches() {
-                let (residents, _) = self.install_map(b, false);
-                self.mapping.preload_static_subset(chip, self.dt, &residents);
-                self.mapping.load_vars_subset(chip, &self.vars, &residents);
-                self.mapping.load_aux_subset(chip, &self.aux, &residents);
-                self.mapping.load_contribs_subset(chip, &self.contribs, &residents);
-                #[cfg(debug_assertions)]
-                let verify = self.programs[b].integration.take_verify(stage);
-                let stream = self.programs[b].integration.for_stage(stage);
-                #[cfg(debug_assertions)]
-                if verify {
-                    assert_eq!(
-                        stream,
-                        &self.mapping.compile_integration_for(&residents, stage),
-                        "patched Integration replay diverged from a fresh compile"
-                    );
-                }
-                chip.execute(stream);
-                self.mapping.extract_vars_subset(chip, &residents, &mut self.vars);
-                self.mapping.extract_aux_subset(chip, &residents, &mut self.aux);
+            for (b, res) in plan.batches.iter().enumerate() {
+                plan.install(m, b, BatchKernel::Integration(stage));
+                m.preload_static_subset(chip, self.dt, res);
+                m.load_vars_subset(chip, &self.vars, res);
+                m.load_aux_subset(chip, &self.aux, res);
+                m.load_contribs_subset(chip, &self.contribs, res);
+                chip.execute(programs.get(m, b, BatchKernel::Integration(stage), res));
+                m.extract_vars_subset(chip, res, &mut self.vars);
+                m.extract_aux_subset(chip, res, &mut self.aux);
             }
             end_kernel_span(chip, Kernel::Integration, stage as u8, t0);
 
@@ -321,43 +389,37 @@ mod tests {
     use super::*;
     use wavesim_mesh::Boundary;
 
-    #[test]
-    fn batches_partition_the_mesh() {
+    fn runner(capacity: usize) -> BatchedAcousticRunner {
         let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
-        let state = State::zeros(8, 4, 27);
-        let r = BatchedAcousticRunner::new(
+        let s = State::zeros(8, 4, 27);
+        BatchedAcousticRunner::new(
             mesh,
             3,
             FluxKind::Central,
             AcousticMaterial::UNIT,
-            &state,
+            &s,
             1e-3,
             2,
-            64,
-        );
+            capacity,
+        )
+    }
+
+    #[test]
+    fn batches_partition_the_mesh() {
+        let r = runner(64);
         assert_eq!(r.num_batches(), 2);
-        let mut all: Vec<usize> = r.batches.iter().flatten().copied().collect();
+        let mut all: Vec<usize> = r.plan.batches.iter().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..8).collect::<Vec<_>>());
         // Each batch of a 2-slice mesh half has exactly the other half
         // as boundary (periodic wrap, level 1 → only 2 slices).
-        assert_eq!(r.boundary[0].len(), 4);
+        assert_eq!(r.plan.visible[0].len() - r.plan.batches[0].len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "exceed")]
     fn capacity_violations_are_caught() {
-        let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
-        let state = State::zeros(8, 4, 27);
-        let _ = BatchedAcousticRunner::new(
-            mesh,
-            3,
-            FluxKind::Central,
-            AcousticMaterial::UNIT,
-            &state,
-            1e-3,
-            2,
-            4, // too small: 4 residents + 4 boundary + LUT
-        );
+        // Too small: 4 residents + 4 boundary + LUT.
+        let _ = runner(4);
     }
 }

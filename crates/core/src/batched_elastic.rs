@@ -4,21 +4,25 @@
 //!
 //! Same kernel-pass discipline as [`crate::batched`] — Volume of every
 //! batch, then Flux of every batch (with boundary slices resident), then
-//! Integration of every batch — but every resident element occupies a
-//! *quartet* of blocks, so the capacity accounting is in quartets.
+//! Integration of every batch — and the same shared partition and
+//! compile-once program cache ([`crate::batched::BatchPrograms`]):
+//! each pass installs its prebuilt map, moves the data, and replays the
+//! batch's interned stream. Every resident element occupies a *quartet*
+//! of blocks, so the capacity accounting is in quartets.
 
 use pim_sim::PimChip;
 use wavesim_dg::{ElasticMaterial, FluxKind, Lsrk5, State};
 use wavesim_mesh::HexMesh;
 
+use crate::batched::{BatchKernel, BatchPlan, BatchPrograms};
 use crate::compiler_elastic::ElasticMapping;
 
 /// Batched elastic runner: the functional counterpart of Table 5's
 /// `E_r&B` cells.
 pub struct BatchedElasticRunner {
     mapping: ElasticMapping,
-    batches: Vec<Vec<usize>>,
-    boundary: Vec<Vec<usize>>,
+    plan: BatchPlan,
+    programs: BatchPrograms,
     dt: f64,
     vars: State,
     aux: State,
@@ -43,124 +47,65 @@ impl BatchedElasticRunner {
         num_batches: usize,
         capacity_blocks: usize,
     ) -> Self {
-        let slices = mesh.num_slices();
-        assert!(num_batches >= 2, "batching needs at least two batches");
-        assert_eq!(slices % num_batches, 0, "slices must split evenly into batches");
-        let slices_per_batch = slices / num_batches;
-        let periodic = mesh.boundary() == wavesim_mesh::Boundary::Periodic;
-
-        let mut batches = Vec::new();
-        let mut boundary = Vec::new();
-        for b in 0..num_batches {
-            let first = b * slices_per_batch;
-            let last = first + slices_per_batch - 1;
-            let mut elems = Vec::new();
-            for s in first..=last {
-                elems.extend(mesh.slice_elements(s).map(|e| e.index()));
-            }
-            let mut candidates = Vec::new();
-            if first > 0 {
-                candidates.push(first - 1);
-            } else if periodic {
-                candidates.push(slices - 1);
-            }
-            if last + 1 < slices {
-                candidates.push(last + 1);
-            } else if periodic {
-                candidates.push(0);
-            }
-            let mut extra = Vec::new();
-            for s in candidates {
-                if !(first..=last).contains(&s) {
-                    extra.extend(mesh.slice_elements(s).map(|e| e.index()));
-                }
-            }
-            extra.sort_unstable();
-            extra.dedup();
-            assert!(
-                (elems.len() + extra.len()) * 4 + 4 <= capacity_blocks,
-                "batch {b}: {} resident + {} boundary quartets exceed {capacity_blocks} blocks",
-                elems.len(),
-                extra.len()
-            );
-            batches.push(elems);
-            boundary.push(extra);
-        }
-
-        let nodes = initial.nodes_per_element();
+        let plan = BatchPlan::new(&mesh, num_batches, capacity_blocks, 4, "quartets");
         let materials = vec![material; mesh.num_elements()];
-        let mapping = ElasticMapping::new(mesh, n, flux_kind, materials);
-
+        let mut mapping = ElasticMapping::new(mesh, n, flux_kind, materials);
+        let programs = BatchPrograms::compile(&mut mapping, &plan);
         Self {
             mapping,
-            batches,
-            boundary,
+            plan,
+            programs,
             dt,
             vars: initial.clone(),
-            aux: State::zeros(initial.num_elements(), 9, nodes),
-            contribs: State::zeros(initial.num_elements(), 9, nodes),
+            aux: State::zeros(initial.num_elements(), 9, initial.nodes_per_element()),
+            contribs: State::zeros(initial.num_elements(), 9, initial.nodes_per_element()),
         }
     }
 
     pub fn num_batches(&self) -> usize {
-        self.batches.len()
+        self.plan.batches.len()
     }
 
     pub fn vars(&self) -> &State {
         &self.vars
     }
 
-    fn install_map(&mut self, batch: usize, with_boundary: bool) -> (Vec<usize>, Vec<usize>) {
-        let residents = self.batches[batch].clone();
-        let extras = if with_boundary { self.boundary[batch].clone() } else { Vec::new() };
-        let total = self.vars.num_elements();
-        let mut map = vec![0u32; total];
-        let mut next = 0u32;
-        for &e in residents.iter().chain(&extras) {
-            map[e] = next;
-            next += 1;
-        }
-        for (e, slot) in map.iter_mut().enumerate() {
-            if !residents.contains(&e) && !extras.contains(&e) {
-                *slot = next;
-                next += 1;
-            }
-        }
-        self.mapping.set_quartet_map(map);
-        (residents, extras)
+    /// Instructions held by the program cache: each distinct stream
+    /// once, one Integration variant per distinct program.
+    pub fn cached_instrs(&self) -> u64 {
+        self.programs.num_instrs()
     }
 
     /// One time-step: five LSRK stages, each as three batched passes.
     pub fn step(&mut self, chip: &mut PimChip) {
+        let (m, plan, programs) = (&mut self.mapping, &self.plan, &mut self.programs);
         for stage in 0..Lsrk5::STAGES {
-            for b in 0..self.num_batches() {
-                let (residents, _) = self.install_map(b, false);
-                self.mapping.preload_static_subset(chip, self.dt, &residents);
-                self.mapping.load_vars_subset(chip, &self.vars, &residents);
-                self.mapping.zero_dynamic_subset(chip, &residents);
-                chip.execute(&self.mapping.compile_volume_for(&residents));
-                self.mapping.extract_contribs_subset(chip, &residents, &mut self.contribs);
+            for (b, res) in plan.batches.iter().enumerate() {
+                plan.install(m, b, BatchKernel::Volume);
+                m.preload_static_subset(chip, self.dt, res);
+                m.load_vars_subset(chip, &self.vars, res);
+                m.zero_dynamic_subset(chip, res);
+                chip.execute(programs.get(m, b, BatchKernel::Volume, res));
+                m.extract_contribs_subset(chip, res, &mut self.contribs);
             }
-            for b in 0..self.num_batches() {
-                let (residents, extras) = self.install_map(b, true);
-                let mut all = residents.clone();
-                all.extend_from_slice(&extras);
-                self.mapping.preload_static_subset(chip, self.dt, &all);
-                self.mapping.load_vars_subset(chip, &self.vars, &all);
-                self.mapping.load_contribs_subset(chip, &self.contribs, &residents);
-                chip.execute(&self.mapping.compile_lut_setup_for(&residents));
-                chip.execute(&self.mapping.compile_flux_for(&residents));
-                self.mapping.extract_contribs_subset(chip, &residents, &mut self.contribs);
+            for (b, (res, all)) in plan.batches.iter().zip(&plan.visible).enumerate() {
+                plan.install(m, b, BatchKernel::Flux);
+                m.preload_static_subset(chip, self.dt, all);
+                m.load_vars_subset(chip, &self.vars, all);
+                m.load_contribs_subset(chip, &self.contribs, res);
+                chip.execute(programs.get(m, b, BatchKernel::LutSetup, res));
+                chip.execute(programs.get(m, b, BatchKernel::Flux, res));
+                m.extract_contribs_subset(chip, res, &mut self.contribs);
             }
-            for b in 0..self.num_batches() {
-                let (residents, _) = self.install_map(b, false);
-                self.mapping.preload_static_subset(chip, self.dt, &residents);
-                self.mapping.load_vars_subset(chip, &self.vars, &residents);
-                self.mapping.load_aux_subset(chip, &self.aux, &residents);
-                self.mapping.load_contribs_subset(chip, &self.contribs, &residents);
-                chip.execute(&self.mapping.compile_integration_for(&residents, stage));
-                self.mapping.extract_vars_subset(chip, &residents, &mut self.vars);
-                self.mapping.extract_aux_subset(chip, &residents, &mut self.aux);
+            for (b, res) in plan.batches.iter().enumerate() {
+                plan.install(m, b, BatchKernel::Integration(stage));
+                m.preload_static_subset(chip, self.dt, res);
+                m.load_vars_subset(chip, &self.vars, res);
+                m.load_aux_subset(chip, &self.aux, res);
+                m.load_contribs_subset(chip, &self.contribs, res);
+                chip.execute(programs.get(m, b, BatchKernel::Integration(stage), res));
+                m.extract_vars_subset(chip, res, &mut self.vars);
+                m.extract_aux_subset(chip, res, &mut self.aux);
             }
         }
     }
@@ -171,38 +116,30 @@ mod tests {
     use super::*;
     use wavesim_mesh::Boundary;
 
-    #[test]
-    fn quartet_capacity_accounting() {
+    fn runner(capacity: usize) -> BatchedElasticRunner {
         let mesh = HexMesh::refinement_level(1, Boundary::Wall);
-        let state = State::zeros(8, 9, 27);
-        // 4 residents + 4 boundary quartets + LUT = 36 blocks.
-        let r = BatchedElasticRunner::new(
+        let s = State::zeros(8, 9, 27);
+        BatchedElasticRunner::new(
             mesh,
             3,
             FluxKind::Central,
             ElasticMaterial::UNIT,
-            &state,
+            &s,
             1e-3,
             2,
-            36,
-        );
-        assert_eq!(r.num_batches(), 2);
+            capacity,
+        )
+    }
+
+    #[test]
+    fn quartet_capacity_accounting() {
+        // 4 residents + 4 boundary quartets + LUT = 36 blocks.
+        assert_eq!(runner(36).num_batches(), 2);
     }
 
     #[test]
     #[should_panic(expected = "exceed")]
     fn undersized_window_is_rejected() {
-        let mesh = HexMesh::refinement_level(1, Boundary::Wall);
-        let state = State::zeros(8, 9, 27);
-        let _ = BatchedElasticRunner::new(
-            mesh,
-            3,
-            FluxKind::Central,
-            ElasticMaterial::UNIT,
-            &state,
-            1e-3,
-            2,
-            35,
-        );
+        let _ = runner(35);
     }
 }

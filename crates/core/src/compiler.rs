@@ -231,15 +231,11 @@ impl AcousticMapping {
 
     /// One element's math placement site: the sqrt lane on the constants
     /// staging row, the reciprocal lane on the first face-staging row
-    /// (columns 25..31 are free on both).
-    fn math_site(&self, elem: usize) -> MathSite {
+    /// (columns 25..31 are free on both). `math_block` is
+    /// [`Self::math_block`], hoisted by the caller: it scans the block map.
+    fn math_site(&self, elem: usize, math_block: u32) -> MathSite {
         let row = self.layout.const_staging_row() as u16;
-        MathSite {
-            block: self.block_of(elem),
-            row,
-            aux_row: row + 1,
-            math_block: self.math_block().0,
-        }
+        MathSite { block: self.block_of(elem), row, aux_row: row + 1, math_block }
     }
 
     /// The sqrt lane's raw operand for an element: `κρ` (so `√x` is the
@@ -286,8 +282,9 @@ impl AcousticMapping {
     pub fn compile_math_setup_for(&self, elems: &[usize]) -> InstrStream {
         let mut s = InstrStream::new();
         let Some(p) = self.math.filter(|p| p.any_onpim()) else { return s };
+        let math_block = self.math_block().0;
         for &e in elems {
-            self.math_site(e).emit_setup(&mut s, p);
+            self.math_site(e, math_block).emit_setup(&mut s, p);
         }
         s.push(Instr::Sync);
         s
@@ -306,8 +303,9 @@ impl AcousticMapping {
             neg_jac_col: staging::NEG_JAC as u8,
             neg_col: staging::NEG_INV_RHO_J as u8,
         };
+        let math_block = self.math_block().0;
         for &e in elems {
-            self.math_site(e).emit_stage(&mut s, p, Some(sqrt_dest), Some(recip_dest));
+            self.math_site(e, math_block).emit_stage(&mut s, p, Some(sqrt_dest), Some(recip_dest));
         }
         s.push(Instr::Sync);
         s
@@ -408,6 +406,7 @@ impl AcousticMapping {
         // computation begins" (§4.3). Entry layout per pair p:
         //   [4p+0] = Z⁺, [4p+1] = Z⁻Z⁺, [4p+2] = 1/(Z⁻+Z⁺).
         let lut = self.lut_block();
+        let math_block = self.math_block();
         let sqrt_pim = self.math.is_some_and(|p| p.sqrt == Placement::OnPim);
         let recip_pim = self.math.is_some_and(|p| p.reciprocal == Placement::OnPim);
         // When an op runs on-PIM, the interface constants derived from it
@@ -444,7 +443,7 @@ impl AcousticMapping {
         // The on-PIM math lanes' seed table: the f32-quantized `1/√x`
         // samples fill the reserved block exactly (32K words).
         if sqrt_pim || recip_pim {
-            let b = chip.block_mut(self.math_block());
+            let b = chip.block_mut(math_block);
             for i in 0..pim_math::table::TABLE_ENTRIES {
                 b.set(
                     i / pim_isa::WORDS_PER_ROW,
@@ -502,7 +501,7 @@ impl AcousticMapping {
                 b.set(staging_row, staging::NEG_JAC, -self.jac_inv);
             }
             if let Some(p) = self.math {
-                let site = self.math_site(e);
+                let site = self.math_site(e, math_block.0);
                 for (row, col, v) in
                     site.staged_values(p, self.sqrt_operand(e), self.recip_operand(e))
                 {
@@ -667,6 +666,7 @@ impl AcousticMapping {
             return s;
         }
         let staging_row = self.layout.const_staging_row();
+        let lut_block = self.lut_block().0;
         for &e in elems {
             for face in Face::ALL {
                 let f = face.code();
@@ -677,7 +677,7 @@ impl AcousticMapping {
                     s.push(Instr::Lut {
                         row: global_row,
                         offset_s: face_staging::index_col(f, k) as u8,
-                        lut_block: self.lut_block().0,
+                        lut_block,
                         offset_d: face_staging::dest_col(f, k) as u8,
                     });
                 }

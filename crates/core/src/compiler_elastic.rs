@@ -304,6 +304,9 @@ impl ElasticMapping {
             for role in [ElasticRole::Velocity, ElasticRole::DiagStress, ElasticRole::ShearStress] {
                 let block = self.block_of(e, role);
                 let b = chip.block_mut(block);
+                // These blocks write the compute rows' tile and the staging
+                // rows' tile; reserving both spares the arena a growth.
+                b.reserve_tiles(2);
                 for node in 0..nodes {
                     for f in 0..6 {
                         b.set(node, L::mask_col(f), 0.0);
@@ -974,6 +977,7 @@ impl ElasticMapping {
         if self.flux_kind == FluxKind::Central {
             return s;
         }
+        let lut_block = self.lut_block().0;
         for &e in elems {
             for role in [ElasticRole::Velocity, ElasticRole::DiagStress, ElasticRole::ShearStress] {
                 let block = self.block_of(e, role);
@@ -985,7 +989,7 @@ impl ElasticMapping {
                         s.push(Instr::Lut {
                             row: global_row as u32,
                             offset_s: eface::index_col(f, k) as u8,
-                            lut_block: self.lut_block().0,
+                            lut_block,
                             offset_d: eface::dest_col(f, k) as u8,
                         });
                     }

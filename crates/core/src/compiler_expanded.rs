@@ -698,6 +698,7 @@ impl ExpandedAcousticMapping {
         if self.flux_kind == FluxKind::Central {
             return s;
         }
+        let lut_block = self.lut_block().0;
         for e in 0..self.mesh.num_elements() {
             for face in Face::ALL {
                 let f = face.code();
@@ -708,7 +709,7 @@ impl ExpandedAcousticMapping {
                     s.push(Instr::Lut {
                         row: global_row as u32,
                         offset_s: xface::index_col(f, k) as u8,
-                        lut_block: self.lut_block().0,
+                        lut_block,
                         offset_d: xface::dest_col(f, k) as u8,
                     });
                 }

@@ -483,25 +483,39 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    /// Serialize tests that flip the global switch.
-    fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
+    /// Serializes tests that flip the global switch: `f` runs with the
+    /// switch set to `on`, and no other gated test can flip it meanwhile.
+    fn with_switch<R>(on: bool, f: impl FnOnce() -> R) -> R {
         static GATE: Mutex<()> = Mutex::new(());
         let _guard = match GATE.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        enable();
+        if on {
+            enable();
+        } else {
+            disable();
+        }
         let out = f();
         disable();
         out
     }
 
+    fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
+        with_switch(true, f)
+    }
+
+    fn with_disabled<R>(f: impl FnOnce() -> R) -> R {
+        with_switch(false, f)
+    }
+
     #[test]
     fn disabled_updates_are_dropped() {
-        let c = MetricsRegistry::new().counter("test_disabled_total", &[]);
-        disable();
-        c.add(7);
-        assert_eq!(c.value(), 0);
+        with_disabled(|| {
+            let c = MetricsRegistry::new().counter("test_disabled_total", &[]);
+            c.add(7);
+            assert_eq!(c.value(), 0);
+        });
     }
 
     #[test]
@@ -607,17 +621,18 @@ mod tests {
     fn disabled_update_overhead_is_negligible() {
         // Same bar as pim-trace: the disabled path must stay well under
         // 50 ns per call (one relaxed load + branch; typically < 1 ns).
-        disable();
-        let c = MetricsRegistry::new().counter("overhead_probe_total", &[]);
-        let f = MetricsRegistry::new().float_counter("overhead_probe_joules", &[]);
-        let start = std::time::Instant::now();
-        let calls = 1_000_000u64;
-        for i in 0..calls {
-            c.add(i);
-            f.add(i as f64);
-        }
-        let per_call = start.elapsed().as_secs_f64() / (2 * calls) as f64;
-        assert_eq!(c.value(), 0);
-        assert!(per_call < 50e-9, "disabled metric update cost {per_call:.2e}s/call");
+        with_disabled(|| {
+            let c = MetricsRegistry::new().counter("overhead_probe_total", &[]);
+            let f = MetricsRegistry::new().float_counter("overhead_probe_joules", &[]);
+            let start = std::time::Instant::now();
+            let calls = 1_000_000u64;
+            for i in 0..calls {
+                c.add(i);
+                f.add(i as f64);
+            }
+            let per_call = start.elapsed().as_secs_f64() / (2 * calls) as f64;
+            assert_eq!(c.value(), 0);
+            assert!(per_call < 50e-9, "disabled metric update cost {per_call:.2e}s/call");
+        });
     }
 }

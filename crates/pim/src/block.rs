@@ -195,6 +195,15 @@ impl MemBlock {
         self.tiles.capacity() * Self::TILE_BYTES
     }
 
+    /// Reserves arena room for `tiles` tiles in all, for a writer that
+    /// knows how many it will touch. Growing the arena later is an
+    /// over-aligned reallocation: it copies into a new chunk and frees
+    /// the old one, which is too small for any later tile's aligned
+    /// allocation and so stays resident as a hole.
+    pub fn reserve_tiles(&mut self, tiles: usize) {
+        self.tiles.reserve_exact(tiles.saturating_sub(self.tiles.len()));
+    }
+
     /// Arena index of tile `t`, allocating it zeroed on first touch.
     #[inline(always)]
     fn slot_mut(&mut self, t: usize) -> usize {
@@ -1055,6 +1064,20 @@ mod storage_tests {
                 assert_matches_reference(&block, &flat, step, op);
             }
         }
+    }
+
+    #[test]
+    fn reserved_tiles_fill_without_growing_the_arena() {
+        let mut block = MemBlock::new();
+        block.reserve_tiles(2);
+        assert_eq!(block.resident_bytes(), 2 * MemBlock::TILE_BYTES);
+        block.set(0, 0, 1.0);
+        let arena = block.tiles.as_ptr();
+        block.set(512, 0, 2.0);
+        assert_eq!(block.tiles.as_ptr(), arena, "the second tile fits the reserve");
+        block.reserve_tiles(2);
+        assert_eq!(block.resident_bytes(), 2 * MemBlock::TILE_BYTES);
+        assert_eq!((block.get(0, 0), block.get(512, 0)), (1.0, 2.0));
     }
 
     #[test]
