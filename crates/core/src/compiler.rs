@@ -453,11 +453,17 @@ impl AcousticMapping {
             }
         }
 
+        // Element blocks write their compute rows and the constants rows
+        // through the last face-staging row; reserving those tiles spares
+        // each arena a growth.
+        let last_row = staging_row + 1 + face_staging::row_offset(Face::ALL.len() - 1);
+        let tiles = crate::layout::element_tiles(nodes, last_row);
         for &e in elems {
             let block = self.block_of(e);
             let m = self.materials[e];
             let z = m.impedance();
             let b = chip.block_mut(block);
+            b.reserve_tiles(tiles);
             // Face masks: 1.0 on face rows.
             for f in 0..6 {
                 for node in 0..nodes {

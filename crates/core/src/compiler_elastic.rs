@@ -295,6 +295,11 @@ impl ElasticMapping {
             }
         }
 
+        // These blocks write the compute rows and the constants rows
+        // through the last face-staging row; reserving those tiles spares
+        // each arena a growth.
+        let last_row = self.layout.face_staging_row(Face::ALL.len() - 1);
+        let tiles = crate::layout::element_tiles(nodes, last_row);
         for &e in elems {
             let m = self.materials[e];
             // `jac_inv / ρ` keeps its fused form on the default path; the
@@ -304,9 +309,7 @@ impl ElasticMapping {
             for role in [ElasticRole::Velocity, ElasticRole::DiagStress, ElasticRole::ShearStress] {
                 let block = self.block_of(e, role);
                 let b = chip.block_mut(block);
-                // These blocks write the compute rows' tile and the staging
-                // rows' tile; reserving both spares the arena a growth.
-                b.reserve_tiles(2);
+                b.reserve_tiles(tiles);
                 for node in 0..nodes {
                     for f in 0..6 {
                         b.set(node, L::mask_col(f), 0.0);

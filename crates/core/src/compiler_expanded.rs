@@ -274,6 +274,11 @@ impl ExpandedAcousticMapping {
             }
         }
 
+        // Each of the four blocks writes its compute rows and the
+        // constants rows through the last face-staging row; reserving
+        // those tiles spares each arena a growth.
+        let last_row = self.face_staging_row(Face::ALL.len() - 1);
+        let tiles = crate::layout::element_tiles(nodes, last_row);
         for e in 0..self.mesh.num_elements() {
             let m = self.materials[e];
             let z = imp(m.impedance());
@@ -300,6 +305,7 @@ impl ExpandedAcousticMapping {
             }
             for &block in &blocks {
                 let b = chip.block_mut(block);
+                b.reserve_tiles(tiles);
                 for a in 0..self.n {
                     for mcol in 0..self.n {
                         b.set(self.dshape_row(a), mcol, self.d.get(a, mcol));

@@ -16,6 +16,18 @@
 //! technique to use four memory blocks to deploy one element").
 
 use pim_isa::WORDS_PER_ROW;
+use pim_sim::MemBlock;
+
+/// First constants-storage row, shared by every layout.
+const CONST_ROWS: usize = 512;
+
+/// Distinct storage tiles an element block's preload writes: the
+/// compute rows `0..nodes` and the constants rows from the first
+/// `dshape` row through `last_const_row`. A preload reserves this many
+/// with `MemBlock::reserve_tiles` so the block's arena never grows.
+pub fn element_tiles(nodes: usize, last_const_row: usize) -> usize {
+    MemBlock::tiles_spanned((0..nodes).chain(CONST_ROWS..=last_const_row))
+}
 
 /// Column map for the one-block acoustic element.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +60,7 @@ impl AcousticLayout {
     pub const CONST: usize = 28;
 
     /// First constants-storage row (`dshape`, materials, …).
-    pub const CONST_ROWS: usize = 512;
+    pub const CONST_ROWS: usize = CONST_ROWS;
 
     pub fn new(n: usize) -> Self {
         assert!(n >= 2 && n * n * n <= 512, "element must fit 512 compute rows");
@@ -229,7 +241,7 @@ impl ElasticBlockLayout {
     pub const SPARE: usize = 31;
 
     /// First constants-storage row.
-    pub const CONST_ROWS: usize = 512;
+    pub const CONST_ROWS: usize = CONST_ROWS;
 
     pub fn new(n: usize) -> Self {
         assert!(n >= 2 && n * n * n <= 512, "element must fit 512 compute rows");

@@ -14,10 +14,12 @@
 //! and is 64-byte aligned, so one column of a tile is exactly one cache
 //! line. A row-parallel `Arith` names a fixed `(dst, a, b)` column
 //! triple and a row range, so in every tile the range spans it touches
-//! three contiguous `&[f64]` runs of ≤8 rows — the same shape as the
-//! hardware's word-parallel bitlines — and the per-op kernels below
-//! compile to straight vector loops instead of a stride-32 gather.
-//! `Broadcast` is a contiguous `fill` per word and tile.
+//! three contiguous column runs of ≤8 rows — the same shape as the
+//! hardware's word-parallel bitlines. The per-op kernels below load
+//! the runs into fixed 8-lane arrays, compute all lanes as one
+//! straight vector loop and store the destination rows, which also
+//! makes in-place shapes (`dst == a` or `dst == b`) safe. `Broadcast`
+//! is a contiguous `fill` per word and tile.
 //!
 //! Tiles are allocated the first time anything *writes* them, from one
 //! arena per block; a per-block `u8` slot table maps tile → arena
@@ -70,11 +72,13 @@ const NO_TILE: u8 = u8::MAX;
 
 const _: () = assert!(TILES < NO_TILE as usize, "arena indices must fit the u8 slot table");
 
-/// [`TILE_ROWS`] rows × 32 columns, column-major:
-/// `cells[col * TILE_ROWS + r]`.
+/// One tile column: [`TILE_ROWS`] rows of one word, one cache line.
+type Column = [f64; TILE_ROWS];
+
+/// [`TILE_ROWS`] rows × 32 columns, column-major: `cols[col][r]`.
 #[derive(Debug, Clone)]
 #[repr(C, align(64))]
-struct Tile([f64; TILE_ROWS * WORDS_PER_ROW]);
+struct Tile([Column; WORDS_PER_ROW]);
 
 /// `(tile, in-tile rows)` for each tile the rows `first..=last` span.
 #[inline(always)]
@@ -105,82 +109,6 @@ impl Default for MemBlock {
     }
 }
 
-/// Rows per vector-kernel chunk: wide enough that LLVM unrolls the body
-/// into full-width SIMD lanes, small enough that the remainder loop
-/// stays cheap for the few-row streams the per-element compilers emit.
-const CHUNK: usize = 8;
-
-/// `d[i] = f(x[i], y[i])` over three equal-length column runs, chunked
-/// so the inner body is a fixed-trip-count loop the compiler unrolls
-/// and vectorizes. `x`/`y` may alias each other (shared borrows); `d`
-/// is necessarily disjoint from both.
-#[inline(always)]
-fn map2(d: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) {
-    let n = d.len();
-    let chunks = n / CHUNK * CHUNK;
-    for ((dc, xc), yc) in
-        d[..chunks].chunks_exact_mut(CHUNK).zip(x.chunks_exact(CHUNK)).zip(y.chunks_exact(CHUNK))
-    {
-        for i in 0..CHUNK {
-            dc[i] = f(xc[i], yc[i]);
-        }
-    }
-    for i in chunks..n {
-        d[i] = f(x[i], y[i]);
-    }
-}
-
-/// `d[i] = f(x[i], y[i], d[i])` — the MAC shape, destination read before
-/// written within each element.
-#[inline(always)]
-fn map2_acc(d: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64, f64) -> f64) {
-    let n = d.len();
-    let chunks = n / CHUNK * CHUNK;
-    for ((dc, xc), yc) in
-        d[..chunks].chunks_exact_mut(CHUNK).zip(x.chunks_exact(CHUNK)).zip(y.chunks_exact(CHUNK))
-    {
-        for i in 0..CHUNK {
-            dc[i] = f(xc[i], yc[i], dc[i]);
-        }
-    }
-    for i in chunks..n {
-        d[i] = f(x[i], y[i], d[i]);
-    }
-}
-
-/// `d[i] = f(x[i])` — the unary (Neg/Mov) shape.
-#[inline(always)]
-fn map1(d: &mut [f64], x: &[f64], f: impl Fn(f64) -> f64) {
-    let n = d.len();
-    let chunks = n / CHUNK * CHUNK;
-    for (dc, xc) in d[..chunks].chunks_exact_mut(CHUNK).zip(x.chunks_exact(CHUNK)) {
-        for i in 0..CHUNK {
-            dc[i] = f(xc[i]);
-        }
-    }
-    for i in chunks..n {
-        d[i] = f(x[i]);
-    }
-}
-
-/// Hints the CPU to pull the line holding `p` toward the caches. The
-/// tile working set at cluster scale (tens of thousands of blocks, each
-/// a few scattered 2 KiB tiles) is far larger than any cache level, so
-/// without hints nearly every cell access is a serialized DRAM miss;
-/// the interpreter knows its targets well ahead of use and issues these
-/// from a lookahead cursor.
-#[inline(always)]
-fn prefetch_read(p: *const f64) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `p` is derived from an in-bounds reference; prefetch has
-    // no architectural effect regardless.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 impl MemBlock {
     /// Bytes of one storage tile.
     pub const TILE_BYTES: usize = std::mem::size_of::<Tile>();
@@ -204,6 +132,16 @@ impl MemBlock {
         self.tiles.reserve_exact(tiles.saturating_sub(self.tiles.len()));
     }
 
+    /// Distinct storage tiles the given rows fall in: the count a writer
+    /// of exactly those rows passes to [`Self::reserve_tiles`].
+    pub fn tiles_spanned(rows: impl IntoIterator<Item = usize>) -> usize {
+        let mut hit = [false; TILES];
+        for row in rows {
+            hit[row / TILE_ROWS] = true;
+        }
+        hit.iter().filter(|&&h| h).count()
+    }
+
     /// Arena index of tile `t`, allocating it zeroed on first touch.
     #[inline(always)]
     fn slot_mut(&mut self, t: usize) -> usize {
@@ -216,7 +154,7 @@ impl MemBlock {
     #[cold]
     fn alloc_tile(&mut self, t: usize) -> usize {
         let s = self.tiles.len();
-        self.tiles.push(Tile([0.0; TILE_ROWS * WORDS_PER_ROW]));
+        self.tiles.push(Tile([[0.0; TILE_ROWS]; WORDS_PER_ROW]));
         self.slots[t] = s as u8;
         s
     }
@@ -227,7 +165,7 @@ impl MemBlock {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
         match self.slots[row / TILE_ROWS] {
             NO_TILE => 0.0,
-            s => self.tiles[s as usize].0[col * TILE_ROWS + row % TILE_ROWS],
+            s => self.tiles[s as usize].0[col][row % TILE_ROWS],
         }
     }
 
@@ -236,54 +174,7 @@ impl MemBlock {
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
         let s = self.slot_mut(row / TILE_ROWS);
-        self.tiles[s].0[col * TILE_ROWS + row % TILE_ROWS] = value;
-    }
-
-    /// Best-effort software prefetch of the cells a `Read`/`Write` at
-    /// `(row, offset, words)` will touch. Purely advisory — nothing
-    /// observable changes, out-of-range coordinates are ignored, and on
-    /// non-x86_64 targets this compiles to nothing. `_write` records the
-    /// caller's intent; both intents currently map to a plain `T0` hint
-    /// because `prefetchw` measured slower than `prefetcht0` on the
-    /// hardware this was tuned on.
-    #[inline]
-    pub fn prefetch_words(&self, row: usize, offset: usize, words: usize, _write: bool) {
-        let Some(tile) = self.slots.get(row / TILE_ROWS).and_then(|&s| self.tiles.get(s as usize))
-        else {
-            return;
-        };
-        for w in 0..words {
-            if let Some(cell) = tile.0.get((offset + w) * TILE_ROWS + row % TILE_ROWS) {
-                prefetch_read(cell as *const f64);
-            }
-        }
-    }
-
-    /// Best-effort prefetch of one column's `first_row..=last_row` run
-    /// (the footprint of an `Arith` operand or a `Broadcast` destination
-    /// column): one touch per written tile, since a tile column is one
-    /// cache line.
-    #[inline]
-    pub fn prefetch_col(&self, col: usize, first_row: usize, last_row: usize, _write: bool) {
-        if col >= WORDS_PER_ROW || first_row > last_row || first_row >= BLOCK_ROWS {
-            return;
-        }
-        for &s in &self.slots[first_row / TILE_ROWS..=last_row.min(BLOCK_ROWS - 1) / TILE_ROWS] {
-            if let Some(tile) = self.tiles.get(s as usize) {
-                prefetch_read(&tile.0[col * TILE_ROWS] as *const f64);
-            }
-        }
-    }
-
-    /// Hints the row buffer itself (4 lines of 8 words): every
-    /// `Read`/`Write`/`Copy`/`Broadcast` goes through it, and with GBs
-    /// of tiles streaming past, the small per-block structs get evicted
-    /// right along with the cell data.
-    #[inline]
-    pub fn prefetch_row_buffer(&self) {
-        for chunk in self.row_buffer.chunks(8) {
-            prefetch_read(&chunk[0] as *const f64);
-        }
+        self.tiles[s].0[col][row % TILE_ROWS] = value;
     }
 
     /// Current row-buffer contents.
@@ -292,21 +183,23 @@ impl MemBlock {
     }
 
     /// Overwrites the row buffer (used by inter-block copies).
+    #[inline]
     pub fn load_row_buffer(&mut self, values: &[f64]) {
         assert!(values.len() <= WORDS_PER_ROW);
         self.row_buffer[..values.len()].copy_from_slice(values);
     }
 
     /// `Read`: cells → row buffer. One search per read.
+    #[inline]
     pub fn read_to_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "read crosses the row edge");
         let r = row % TILE_ROWS;
         match self.slots[row / TILE_ROWS] {
             NO_TILE => self.row_buffer[..words].fill(0.0),
             s => {
-                let cells = &self.tiles[s as usize].0;
-                for w in 0..words {
-                    self.row_buffer[w] = cells[(offset + w) * TILE_ROWS + r];
+                let cols = &self.tiles[s as usize].0[offset..offset + words];
+                for (w, col) in self.row_buffer[..words].iter_mut().zip(cols) {
+                    *w = col[r];
                 }
             }
         }
@@ -315,15 +208,16 @@ impl MemBlock {
 
     /// `Write`: row buffer → cells. Each bit pays the average of set and
     /// reset energy; the write takes one set plus one reset phase.
+    #[inline]
     pub fn write_from_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
         // A zero-word write stores nothing, so it allocates no tile.
         if words > 0 {
             let r = row % TILE_ROWS;
             let s = self.slot_mut(row / TILE_ROWS);
-            let cells = &mut self.tiles[s].0;
-            for w in 0..words {
-                cells[(offset + w) * TILE_ROWS + r] = self.row_buffer[w];
+            let cols = &mut self.tiles[s].0[offset..offset + words];
+            for (col, &w) in cols.iter_mut().zip(&self.row_buffer[..words]) {
+                col[r] = w;
             }
         }
         let bits = (words * 32) as f64;
@@ -356,9 +250,9 @@ impl MemBlock {
         if words > 0 {
             for (t, rows) in tile_spans(dst_first, dst_last) {
                 let s = self.slot_mut(t);
-                let cells = &mut self.tiles[s].0;
+                let cols = &mut self.tiles[s].0;
                 for w in 0..words {
-                    cells[(offset + w) * TILE_ROWS..][rows.clone()].fill(self.row_buffer[w]);
+                    cols[offset + w][rows.clone()].fill(self.row_buffer[w]);
                 }
             }
         }
@@ -374,6 +268,7 @@ impl MemBlock {
     /// Every selected row computes simultaneously, so the *time* is one
     /// bit-serial pass regardless of the row count — that is the PIM's
     /// parallelism — while the *energy* scales with the rows touched.
+    #[inline]
     pub fn arith(
         &mut self,
         op: AluOp,
@@ -396,11 +291,9 @@ impl MemBlock {
         }
     }
 
-    /// The word-parallel data pass: one vector kernel per [`AluOp`],
-    /// run over the three contiguous column runs of every tile the row
-    /// range spans. Falls back to the scalar loop when the destination
-    /// column aliases an operand column (the compilers never emit that
-    /// shape, but a hand-written or fuzzed stream may).
+    /// The word-parallel data pass: one tile kernel per [`AluOp`].
+    /// `Mac` rounds twice (mul then add), exactly like the scalar
+    /// oracle — no `mul_add`, which would fuse them.
     fn arith_cells_vector(
         &mut self,
         op: AluOp,
@@ -410,67 +303,60 @@ impl MemBlock {
         a: usize,
         b: usize,
     ) {
-        let uses_b = matches!(op, AluOp::Add | AluOp::Sub | AluOp::Mul | AluOp::Mac);
-        if dst == a || (uses_b && dst == b) {
-            return self.arith_cells_scalar(op, first_row, last_row, dst, a, b);
-        }
-        // Unary ops never read `b`, which may then name `dst` itself.
-        let b = if uses_b { b } else { a };
         let (r0, r1) = (first_row, last_row);
         match op {
-            AluOp::Add => {
-                self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| map2(d, x, y, |x, y| x + y))
-            }
-            AluOp::Sub => {
-                self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| map2(d, x, y, |x, y| x - y))
-            }
-            AluOp::Mul => {
-                self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| map2(d, x, y, |x, y| x * y))
-            }
-            // Two roundings (mul then add), exactly like the scalar
-            // oracle — no `mul_add`, which would fuse them.
-            AluOp::Mac => self.for_each_tile_run(r0, r1, dst, a, b, |d, x, y| {
-                map2_acc(d, x, y, |x, y, acc| x * y + acc)
-            }),
-            AluOp::Neg => self.for_each_tile_run(r0, r1, dst, a, b, |d, x, _| map1(d, x, |x| -x)),
-            AluOp::Mov => self.for_each_tile_run(r0, r1, dst, a, b, |d, x, _| map1(d, x, |x| x)),
+            AluOp::Add => self.arith_tiles(r0, r1, dst, a, b, |x, y, _| x + y),
+            AluOp::Sub => self.arith_tiles(r0, r1, dst, a, b, |x, y, _| x - y),
+            AluOp::Mul => self.arith_tiles(r0, r1, dst, a, b, |x, y, _| x * y),
+            AluOp::Mac => self.arith_tiles(r0, r1, dst, a, b, |x, y, acc| x * y + acc),
+            AluOp::Neg => self.arith_tiles(r0, r1, dst, a, b, |x, _, _| -x),
+            AluOp::Mov => self.arith_tiles(r0, r1, dst, a, b, |x, _, _| x),
         }
     }
 
-    /// Calls `kernel(d, x, y)` on the `(dst, a, b)` column runs of every
-    /// tile `first_row..=last_row` spans, allocating the tiles it
-    /// writes. `dst` must differ from `a` and `b`.
+    /// Stores `f(x, y, d)` of the `(a, b, dst)` columns into `dst` over
+    /// every tile `first_row..=last_row` spans, allocating the tiles it
+    /// writes. Each tile's three columns are copied into fixed
+    /// [`Column`] arrays before anything is stored, so `dst` may name
+    /// either operand: in-place shapes (`s ← s·z`, `zero`) are about
+    /// half of the Ariths the compilers emit. The kernel always computes
+    /// all [`TILE_ROWS`] lanes, a fixed-width loop that vectorizes
+    /// without alias checks, and stores only the rows in range.
     #[inline(always)]
-    fn for_each_tile_run(
+    fn arith_tiles(
         &mut self,
         first_row: usize,
         last_row: usize,
         dst: usize,
         a: usize,
         b: usize,
-        mut kernel: impl FnMut(&mut [f64], &[f64], &[f64]),
+        f: impl Fn(f64, f64, f64) -> f64,
     ) {
+        let lanes = |cols: &[Column; WORDS_PER_ROW]| -> Column {
+            let (x, y, d) = (cols[a], cols[b], cols[dst]);
+            std::array::from_fn(|i| f(x[i], y[i], d[i]))
+        };
+        // A range of exactly one whole tile — every Arith the compilers
+        // emit at n = 2 — stores the whole column.
+        if first_row.is_multiple_of(TILE_ROWS) && last_row == first_row + TILE_ROWS - 1 {
+            let s = self.slot_mut(first_row / TILE_ROWS);
+            let cols = &mut self.tiles[s].0;
+            cols[dst] = lanes(cols);
+            return;
+        }
         for (t, rows) in tile_spans(first_row, last_row) {
             let s = self.slot_mut(t);
-            // Split the tile around the destination column so the
-            // destination run borrows mutably while the operand runs
-            // borrow shared — fully safe, and the disjointness lets the
-            // kernels vectorize without aliasing checks.
-            let (before, rest) = self.tiles[s].0.split_at_mut(dst * TILE_ROWS);
-            let (dcol, after) = rest.split_at_mut(TILE_ROWS);
-            let col = |c: usize| -> &[f64] {
-                if c < dst {
-                    &before[c * TILE_ROWS..][rows.clone()]
-                } else {
-                    &after[(c - dst - 1) * TILE_ROWS..][rows.clone()]
-                }
-            };
-            kernel(&mut dcol[rows.clone()], col(a), col(b));
+            let cols = &mut self.tiles[s].0;
+            let out = lanes(cols);
+            for r in rows {
+                cols[dst][r] = out[r];
+            }
         }
     }
 
     /// The pre-vectorization row-at-a-time data pass, kept as the
-    /// bit-exactness oracle (and as the aliased-destination fallback).
+    /// bit-exactness oracle.
+    #[cfg(any(test, feature = "scalar-oracle"))]
     fn arith_cells_scalar(
         &mut self,
         op: AluOp,
@@ -628,8 +514,9 @@ mod tests {
 
     #[test]
     fn aliased_destination_matches_the_scalar_semantics() {
-        // dst == a, dst == b and dst == a == b all take the scalar
-        // fallback; the results must match a hand-computed row loop.
+        // dst == a, dst == b and dst == a == b: the tile kernel loads
+        // every operand before it stores, so the results must match a
+        // hand-computed row loop.
         let mut b = MemBlock::new();
         for row in 0..8 {
             b.set(row, 0, row as f64 + 1.0);
@@ -721,6 +608,61 @@ mod oracle_tests {
                     a.to_bits() == b.to_bits(),
                     "vector {a:?} != scalar {b:?} at (row {row}, col {col})"
                 );
+            }
+        }
+    }
+
+    /// The kernel shapes a uniform row and column draw almost never
+    /// produces, pinned: one whole tile, the three in-place aliasings,
+    /// and ranges over several tiles with partial ends, for every
+    /// [`AluOp`] over NaN, ±inf, denormal and overflow payloads.
+    #[test]
+    fn pinned_kernel_shapes_match_scalar_oracle() {
+        let payloads = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE / 2.0,
+            -0.0,
+            1.0e308,
+            1.5,
+            -3.25,
+            0.1,
+        ];
+        // (name, first_row, last_row, dst, a, b)
+        let shapes = [
+            ("full tile", 8, 15, 5, 0, 1),
+            ("full tile, dst == a", 8, 15, 0, 0, 1),
+            ("full tile, dst == b", 8, 15, 1, 0, 1),
+            ("full tile, dst == a == b", 8, 15, 2, 2, 2),
+            ("partial tile, dst == a == b", 2, 5, 2, 2, 2),
+            ("multi-tile, partial ends", 3, 29, 5, 0, 1),
+            ("multi-tile, dst == a", 3, 29, 0, 0, 1),
+            ("multi-tile, dst == b", 3, 29, 1, 0, 1),
+            ("multi-tile, whole tiles, dst == a == b", 0, 31, 2, 2, 2),
+        ];
+        for op in AluOp::ALL {
+            for (name, first, last, dst, a, b) in shapes {
+                let mut vec_b = MemBlock::new();
+                for row in 0..40 {
+                    for col in 0..6 {
+                        vec_b.set(row, col, payloads[(row * 7 + col * 3) % payloads.len()]);
+                    }
+                }
+                let mut sca_b = vec_b.clone();
+                vec_b.arith_cells_vector(op, first, last, dst, a, b);
+                sca_b.arith_cells_scalar(op, first, last, dst, a, b);
+                for row in 0..BLOCK_ROWS {
+                    for col in 0..WORDS_PER_ROW {
+                        let (v, s) = (vec_b.get(row, col), sca_b.get(row, col));
+                        assert!(
+                            v.to_bits() == s.to_bits(),
+                            "{op:?} {name}: vector {v:?} != scalar {s:?} at (row {row}, col {col})"
+                        );
+                    }
+                }
             }
         }
     }

@@ -33,7 +33,7 @@ use crate::block::MemBlock;
 use crate::energy::EnergyLedger;
 use crate::host::HostModel;
 use crate::interconnect::{
-    BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Resource, Transfer,
+    BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Resource, Transfer, MAX_HOPS,
 };
 use crate::params::{self, ChipCapacity, ProcessNode};
 
@@ -93,8 +93,7 @@ pub struct PimChip {
     /// levels: an untouched block is `None` (a Gb16 chip has 131K
     /// blocks), and a touched one allocates only the 2 KiB row tiles
     /// something wrote (see [`MemBlock`]). Lookup is a single indexed
-    /// load into a table of pointers instead of a hash probe, and the
-    /// slot can be prefetched ahead of use (see [`Self::prefetch_instr`]).
+    /// load into a table of pointers instead of a hash probe.
     blocks: Vec<Option<Box<MemBlock>>>,
     /// Dense per-block timelines, indexed by `BlockId.0`: the ready/busy
     /// clocks are one `f64` per block, so the interpreter's hot path
@@ -107,8 +106,6 @@ pub struct PimChip {
     touched_blocks: usize,
     /// Dense per-resource timeline; see [`Self::resource_index`].
     resource_ready: Vec<f64>,
-    /// Reusable scratch for routed paths; see [`Self::take_route`].
-    route_scratch: Vec<Resource>,
     resource_slots_per_tile: usize,
     offchip_ready: f64,
     host_ready: f64,
@@ -242,39 +239,8 @@ fn block_local(instr: &Instr) -> Option<BlockId> {
     }
 }
 
-/// Hints the cells a block-local instruction will touch in `b` (which
-/// the caller has already resolved to the instruction's target block).
-/// `Copy` moves row buffers only and DMAs touch no cells, so neither
-/// appears here. Store targets use the write-intent hint. Ops that go
-/// through the row buffer also hint the buffer itself — the per-block
-/// structs are tiny but there are thousands of them, so they miss just
-/// like the cell data once the working set outgrows the caches.
-#[inline]
-fn prefetch_block_local(b: &MemBlock, instr: &Instr) {
-    match *instr {
-        Instr::Read { row, offset, words, .. } => {
-            b.prefetch_row_buffer();
-            b.prefetch_words(row as usize, offset as usize, words as usize, false);
-        }
-        Instr::Write { row, offset, words, .. } => {
-            b.prefetch_row_buffer();
-            b.prefetch_words(row as usize, offset as usize, words as usize, true);
-        }
-        Instr::Broadcast { dst_first, dst_last, offset, words, .. } => {
-            b.prefetch_row_buffer();
-            for w in 0..words as usize {
-                b.prefetch_col(offset as usize + w, dst_first as usize, dst_last as usize, true);
-            }
-        }
-        Instr::Arith { first_row, last_row, dst, a, b: rhs, .. } => {
-            let (first, last) = (first_row as usize, last_row as usize);
-            b.prefetch_col(a as usize, first, last, false);
-            b.prefetch_col(rhs as usize, first, last, false);
-            b.prefetch_col(dst as usize, first, last, true);
-        }
-        _ => {}
-    }
-}
+/// The all-zero block an untouched id reads as.
+static ZERO_BLOCK: MemBlock = MemBlock::new();
 
 /// Static op name for trace payloads.
 fn alu_name(op: AluOp) -> &'static str {
@@ -287,14 +253,6 @@ fn alu_name(op: AluOp) -> &'static str {
         AluOp::Mov => "mov",
     }
 }
-
-/// How far past the segment being executed the prefetch cursor in
-/// [`PimChip::execute`] runs. Executing one instruction costs tens of
-/// nanoseconds, so 16 instructions of lookahead gives each hinted
-/// line comfortably more than a DRAM round-trip to arrive while still
-/// bounding how many line-fill buffers the hints occupy (measured:
-/// 16 beats both 8 and 32 on the level-5 workload).
-const PREFETCH_AHEAD: usize = 16;
 
 impl PimChip {
     pub fn new(config: ChipConfig) -> Self {
@@ -320,7 +278,6 @@ impl PimChip {
             block_touched: vec![false; num_blocks],
             touched_blocks: 0,
             resource_ready: vec![0.0; 1 + num_tiles * resource_slots_per_tile],
-            route_scratch: Vec::new(),
             resource_slots_per_tile,
             offchip_ready: 0.0,
             host_ready: 0.0,
@@ -429,9 +386,8 @@ impl PimChip {
     /// Read access to a block's storage. An untouched block reads as a
     /// shared all-zero block and stays unallocated.
     pub fn block(&self, id: BlockId) -> &MemBlock {
-        static ZERO: MemBlock = MemBlock::new();
         self.check_block(id);
-        self.blocks[id.0 as usize].as_deref().unwrap_or(&ZERO)
+        self.blocks[id.0 as usize].as_deref().unwrap_or(&ZERO_BLOCK)
     }
 
     /// Mutable access for host-side preloading of inputs and LUT contents
@@ -553,22 +509,36 @@ impl PimChip {
         self.block_busy.iter().sum::<f64>() / (self.touched_blocks as f64 * self.elapsed)
     }
 
-    /// Routes `src → dst` into the chip's reusable scratch path and
-    /// returns it (the caller hands it back via [`Self::put_route`]).
-    /// Taking the vector out keeps the borrow checker happy while the
-    /// caller goes on to mutate timelines, and reuses one allocation
-    /// across every `Copy`/`Lut` of a stream.
-    fn take_route(&mut self, src: BlockId, dst: BlockId) -> Vec<Resource> {
-        let mut path = std::mem::take(&mut self.route_scratch);
+    /// Timeline slots (see [`Self::resource_index`]) of the resources a
+    /// transfer `src → dst` occupies, in path order: the first `n` of
+    /// the returned array, where `n` is the hop count.
+    #[inline]
+    fn route_slots(&self, src: BlockId, dst: BlockId) -> ([usize; MAX_HOPS], usize) {
+        let mut slots = [0; MAX_HOPS];
+        let mut n = 0;
+        let hop = |r: Resource| {
+            slots[n] = self.resource_index(&r);
+            n += 1;
+        };
         match self.config.interconnect {
-            InterconnectKind::HTree => self.htree.route_into(src, dst, &mut path),
-            InterconnectKind::Bus => self.bus.route_into(src, dst, &mut path),
+            InterconnectKind::HTree => self.htree.for_each_hop(src, dst, hop),
+            InterconnectKind::Bus => self.bus.for_each_hop(src, dst, hop),
         }
-        path
+        (slots, n)
     }
 
-    fn put_route(&mut self, path: Vec<Resource>) {
-        self.route_scratch = path;
+    /// Books a transfer of `dur` seconds on the switches `slots`: it
+    /// starts once every one of them is free, and no earlier than
+    /// `ready`, and holds them all until it finishes. Returns
+    /// `(start, finish)`.
+    #[inline]
+    fn occupy(&mut self, slots: &[usize], ready: f64, dur: f64) -> (f64, f64) {
+        let start = slots.iter().fold(ready, |t, &s| t.max(self.resource_ready[s]));
+        let finish = start + dur;
+        for &s in slots {
+            self.resource_ready[s] = finish;
+        }
+        (start, finish)
     }
 
     /// Transfer duration and energy, with the hop count taken from the
@@ -636,11 +606,11 @@ impl PimChip {
     /// wherever the resources (blocks, switches, off-chip channel) are
     /// disjoint. `Sync` is a full barrier.
     ///
-    /// Runs of consecutive instructions on the *same* block — the
-    /// compiler's dominant shape, since each element's kernel is a burst
-    /// of row-parallel ops on its home block — take a batched fast path
-    /// ([`Self::execute_block_run`]) that looks the block up once and
-    /// replays the per-op bookkeeping in one pass.
+    /// Block-local instructions execute in maximal runs on one block
+    /// ([`Self::execute_block_run`]) — the compiler's dominant shape,
+    /// since each element's kernel is a burst of row-parallel ops on its
+    /// home block — so the block is looked up once per run and the
+    /// per-op bookkeeping replays in one pass.
     pub fn execute(&mut self, stream: &InstrStream) {
         // Metrics are published once per stream from the ledger/clock
         // deltas and the precomputed `StreamStats` — the per-instruction
@@ -650,16 +620,8 @@ impl PimChip {
         let instrs = stream.instrs();
         let mut spans = Vec::new();
         let mut i = 0;
-        // Decoupled access/execute: the whole stream is known up front,
-        // so a prefetch cursor runs ahead of the instruction being
-        // executed and hints the cells it will touch into the caches.
-        // At cluster scale the cell working set is spread over tens of
-        // thousands of blocks — without the hints nearly every cell
-        // access is a dependent DRAM miss paid one at a time.
-        let mut pf = 0;
         while i < instrs.len() {
             let Some(block) = block_local(&instrs[i]) else {
-                self.prefetch_to(instrs, &mut pf, i + 1 + PREFETCH_AHEAD);
                 self.execute_one(&instrs[i]);
                 i += 1;
                 continue;
@@ -668,12 +630,7 @@ impl PimChip {
             while j < instrs.len() && block_local(&instrs[j]) == Some(block) {
                 j += 1;
             }
-            if j - i >= 2 {
-                self.execute_block_run(block, instrs, i, j, &mut pf, &mut spans);
-            } else {
-                self.prefetch_to(instrs, &mut pf, j + PREFETCH_AHEAD);
-                self.execute_one(&instrs[i]);
-            }
+            self.execute_block_run(block, &instrs[i..j], &mut spans);
             i = j;
         }
         // Host dispatch of the whole stream is a lower bound on elapsed
@@ -714,89 +671,23 @@ impl PimChip {
         }
     }
 
-    /// Best-effort prefetch of the cells `instr` will touch.
-    /// Only already-materialized blocks are hinted (a `None` slot means
-    /// the block is still all zeros and will be allocated on first
-    /// touch); nothing observable changes either way.
-    #[inline]
-    fn prefetch_instr(&self, instr: &Instr) {
-        let resident = |id: BlockId| self.blocks.get(id.0 as usize).and_then(|s| s.as_deref());
-        match *instr {
-            Instr::Lut { row, offset_s, lut_block, offset_d } => {
-                let holder = BlockId(row / BLOCK_ROWS as u32);
-                let row_in_block = row as usize % BLOCK_ROWS;
-                if let Some(b) = resident(holder) {
-                    b.prefetch_words(row_in_block, offset_d as usize, 1, true);
-                    // The content fetch is data-dependent, so peek at
-                    // the index word now: if an instruction between the
-                    // cursor and execution rewrites it we merely hint a
-                    // stale line — the real access re-reads the cell.
-                    let raw = b.get(row_in_block, offset_s as usize);
-                    if let (Ok(index), Some(lut)) =
-                        (pim_isa::lut::try_index_word(raw), resident(BlockId(lut_block)))
-                    {
-                        let index = index as usize;
-                        lut.prefetch_words(index / WORDS_PER_ROW, index % WORDS_PER_ROW, 1, false);
-                    }
-                }
-            }
-            Instr::Copy { src, dst, .. } => {
-                // Copy moves one row buffer into another: no cells,
-                // but both block structs get touched.
-                if let Some(b) = resident(src) {
-                    b.prefetch_row_buffer();
-                }
-                if let Some(b) = resident(dst) {
-                    b.prefetch_row_buffer();
-                }
-            }
-            _ => {
-                if let Some(b) = block_local(instr).and_then(resident) {
-                    prefetch_block_local(b, instr);
-                }
-            }
-        }
-    }
-
-    /// Advances the prefetch cursor `pf` to `target` (clamped to the
-    /// stream end), hinting each passed instruction's cells.
-    #[inline]
-    fn prefetch_to(&self, instrs: &[Instr], pf: &mut usize, target: usize) {
-        let target = target.min(instrs.len());
-        while *pf < target {
-            self.prefetch_instr(&instrs[*pf]);
-            *pf += 1;
-        }
-    }
-
-    /// Batched fast path for a run of ≥2 consecutive block-local
-    /// instructions (Read/Write/Broadcast/Arith) on one block: one
-    /// capacity check and one block-map lookup for the whole run, with
-    /// the per-op ledger charges, busy/ready clock updates and trace
-    /// spans replayed in exactly the order the one-at-a-time path
-    /// produces. Within a run every op starts when the previous one
-    /// finishes (same block ⇒ fully serialized), so the clock chain is
-    /// a running `t` rather than repeated timeline lookups; the f64
+    /// Executes a run of consecutive block-local instructions
+    /// (Read/Write/Broadcast/Arith) on one block: one capacity check and
+    /// one block-table lookup for the whole run, with the per-op ledger
+    /// charges, busy/ready clock updates and trace spans replayed in
+    /// instruction order. Within a run every op starts when the previous
+    /// one finishes (same block ⇒ fully serialized), so the clock chain
+    /// is a running `t` rather than repeated timeline lookups; the f64
     /// accumulation order of every observable (ledger joules, busy
-    /// seconds, elapsed) is preserved bit for bit.
+    /// seconds, elapsed) is the same whatever the run length, so
+    /// splitting a run changes no bit.
     ///
     /// `spans` is caller-owned scratch (drained before returning) so a
     /// traced run reuses one allocation across the stream.
-    ///
-    /// The run is `instrs[i..j]`; the full stream and the prefetch
-    /// cursor `pf` come along so the lookahead keeps pacing itself one
-    /// instruction at a time through the run (issuing a long run's
-    /// hints in one burst would overflow the core's fill buffers and
-    /// get most of them dropped). The block is *taken out* of its slot
-    /// for the duration so the cursor can still hint other blocks
-    /// through `&self`; run-local targets are hinted directly.
     fn execute_block_run(
         &mut self,
         block: BlockId,
-        instrs: &[Instr],
-        i: usize,
-        j: usize,
-        pf: &mut usize,
+        run: &[Instr],
         spans: &mut Vec<(f64, f64, Payload)>,
     ) {
         self.check_block(block);
@@ -805,18 +696,8 @@ impl PimChip {
         let tracing = pim_trace::enabled();
         let mut t = self.block_ready[idx].max(self.barrier);
         let mut busy = self.block_busy[idx];
-        let mut b = self.blocks[idx].take().unwrap_or_default();
-        for (k, instr) in instrs[i..j].iter().enumerate() {
-            let ahead = (i + k + 1 + PREFETCH_AHEAD).min(instrs.len());
-            while *pf < ahead {
-                let upcoming = &instrs[*pf];
-                if block_local(upcoming) == Some(block) {
-                    prefetch_block_local(&b, upcoming);
-                } else {
-                    self.prefetch_instr(upcoming);
-                }
-                *pf += 1;
-            }
+        let b = self.blocks[idx].get_or_insert_with(Box::default);
+        for instr in run {
             let (cost, payload) = match *instr {
                 Instr::Read { row, offset, words, .. } => {
                     let cost = b.read_to_buffer(row as usize, offset as usize, words as usize);
@@ -860,7 +741,7 @@ impl PimChip {
                         },
                     )
                 }
-                _ => unreachable!("execute_block_run only fuses block-local instructions"),
+                _ => unreachable!("execute_block_run only runs block-local instructions"),
             };
             // Identical to finish_block op by op: the previous op's
             // finish time is ≥ the barrier, so `.max(barrier)` would
@@ -872,7 +753,6 @@ impl PimChip {
             }
             t = t1;
         }
-        self.blocks[idx] = Some(b);
         self.block_busy[idx] = busy;
         self.block_ready[idx] = t;
         self.elapsed = self.elapsed.max(t);
@@ -890,95 +770,32 @@ impl PimChip {
                 // reached yet).
                 self.barrier = self.barrier.max(self.elapsed);
             }
-            Instr::Read { block, row, offset, words } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).read_to_buffer(
-                    row as usize,
-                    offset as usize,
-                    words as usize,
-                );
-                self.ledger.reads += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp { op: "read", nor_cycles: 0, energy_j: cost.joules },
-                );
-            }
-            Instr::Write { block, row, offset, words } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).write_from_buffer(
-                    row as usize,
-                    offset as usize,
-                    words as usize,
-                );
-                self.ledger.writes += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp { op: "write", nor_cycles: 0, energy_j: cost.joules },
-                );
-            }
-            Instr::Broadcast { block, dst_first, dst_last, offset, words } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).broadcast(
-                    dst_first as usize,
-                    dst_last as usize,
-                    offset as usize,
-                    words as usize,
-                );
-                self.ledger.writes += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp { op: "broadcast", nor_cycles: 0, energy_j: cost.joules },
-                );
-            }
-            Instr::Arith { block, op, first_row, last_row, dst, a, b } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).arith(
-                    op,
-                    first_row as usize,
-                    last_row as usize,
-                    dst as usize,
-                    a as usize,
-                    b as usize,
-                );
-                self.ledger.compute += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp {
-                        op: alu_name(op),
-                        nor_cycles: params::alu_cycles(op),
-                        energy_j: cost.joules,
-                    },
-                );
+            Instr::Read { block, .. }
+            | Instr::Write { block, .. }
+            | Instr::Broadcast { block, .. }
+            | Instr::Arith { block, .. } => {
+                self.execute_block_run(block, std::slice::from_ref(instr), &mut Vec::new());
             }
             Instr::Copy { src, dst, words } => {
                 let t = Transfer { src, dst, words: words as u32 };
-                let path = self.take_route(src, dst);
-                let (dur, joules) = self.transfer_cost(&t, path.len());
-                let mut start = self.block_start(src).max(self.block_start(dst));
-                for r in &path {
-                    start = start.max(self.resource_ready[self.resource_index(r)]);
+                let (slots, hops) = self.route_slots(src, dst);
+                let (dur, joules) = self.transfer_cost(&t, hops);
+                let ready = self.block_start(src).max(self.block_start(dst));
+                let (start, finish) = self.occupy(&slots[..hops], ready, dur);
+                // Move the data: the first `words` words of the source
+                // row buffer overwrite the destination's; the rest of
+                // the destination buffer keeps its words.
+                let w = (words as usize).min(WORDS_PER_ROW);
+                match self.blocks.get_disjoint_mut([src.0 as usize, dst.0 as usize]) {
+                    Ok([s, d]) => {
+                        let s = s.as_deref().unwrap_or(&ZERO_BLOCK);
+                        d.get_or_insert_with(Box::default).load_row_buffer(&s.row_buffer()[..w]);
+                    }
+                    // A copy onto its own block moves nothing.
+                    Err(_) => {
+                        self.block_mut(dst);
+                    }
                 }
-                let finish = start + dur;
-                for r in &path {
-                    let slot = self.resource_index(r);
-                    self.resource_ready[slot] = finish;
-                }
-                self.put_route(path);
-                // Move the data: source row buffer → destination buffer.
-                let buf = *self.block(src).row_buffer();
-                self.block_mut(dst).load_row_buffer(&buf[..(words as usize).min(WORDS_PER_ROW)]);
                 self.ledger.interconnect += joules;
                 self.finish_block(src, finish);
                 self.finish_block(dst, finish);
@@ -1046,18 +863,10 @@ impl PimChip {
                 self.ledger.reads += read2_joules;
 
                 let t = Transfer { src: lut, dst: holder, words: 1 };
-                let path = self.take_route(lut, holder);
-                let (dur, joules) = self.transfer_cost(&t, path.len());
-                let mut xfer_start = start + 2.0 * params::T_SEARCH;
-                for r in &path {
-                    xfer_start = xfer_start.max(self.resource_ready[self.resource_index(r)]);
-                }
-                let xfer_finish = xfer_start + dur;
-                for r in &path {
-                    let slot = self.resource_index(r);
-                    self.resource_ready[slot] = xfer_finish;
-                }
-                self.put_route(path);
+                let (slots, hops) = self.route_slots(lut, holder);
+                let (dur, joules) = self.transfer_cost(&t, hops);
+                let (xfer_start, xfer_finish) =
+                    self.occupy(&slots[..hops], start + 2.0 * params::T_SEARCH, dur);
                 self.ledger.interconnect += joules;
 
                 let b = self.block_mut(holder);
@@ -1312,10 +1121,10 @@ mod tests {
 
     #[test]
     fn fused_block_runs_are_bit_identical_to_the_one_at_a_time_path() {
-        // The batched fast path fuses runs of same-block instructions;
-        // every observable — cell contents, ledger joules, busy/ready
-        // clocks, elapsed — must come out bit-identical to driving
-        // `execute_one` per instruction.
+        // `execute` runs maximal same-block runs in one pass; every
+        // observable — cell contents, ledger joules, busy/ready clocks,
+        // elapsed — must come out bit-identical to driving `execute_one`
+        // per instruction, where each block-local op is a run of one.
         let instrs = [
             Instr::Read { block: BlockId(0), row: 3, offset: 0, words: 4 },
             Instr::Broadcast {
@@ -1409,6 +1218,30 @@ mod tests {
         c.execute(&s);
         assert_eq!(c.block(BlockId(5)).get(9, 0), 42.5);
         assert!(c.finish().ledger.interconnect > 0.0);
+    }
+
+    #[test]
+    fn copy_moves_only_its_words() {
+        let mut c = chip();
+        let kept: Vec<f64> = (0..WORDS_PER_ROW).map(|w| 100.0 + w as f64).collect();
+        c.block_mut(BlockId(0)).load_row_buffer(&[1.0; WORDS_PER_ROW]);
+        c.block_mut(BlockId(5)).load_row_buffer(&kept);
+        c.block_mut(BlockId(6)).load_row_buffer(&kept);
+        let mut s = InstrStream::new();
+        s.push(Instr::Copy { src: BlockId(0), dst: BlockId(5), words: 4 });
+        // An untouched source block sends zeros and stays unallocated.
+        s.push(Instr::Copy { src: BlockId(9), dst: BlockId(6), words: 3 });
+        // A copy onto its own block leaves its buffer as it was.
+        s.push(Instr::Copy { src: BlockId(0), dst: BlockId(0), words: 8 });
+        c.execute(&s);
+        let five = c.block(BlockId(5)).row_buffer();
+        assert_eq!(five[..4], [1.0; 4]);
+        assert_eq!(five[4..], kept[4..], "words past the copied ones must not change");
+        let six = c.block(BlockId(6)).row_buffer();
+        assert_eq!(six[..3], [0.0; 3]);
+        assert_eq!(six[3..], kept[3..]);
+        assert!(c.blocks[9].is_none(), "a copy source must not be allocated");
+        assert_eq!(c.block(BlockId(0)).row_buffer(), &[1.0; WORDS_PER_ROW]);
     }
 
     #[test]

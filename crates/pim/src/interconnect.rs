@@ -60,13 +60,19 @@ pub struct Schedule {
     pub finish_times: Vec<f64>,
 }
 
+/// Most switch levels an H-tree over one tile can have (fanout 2).
+const MAX_LEVELS: usize = BLOCKS_PER_TILE.trailing_zeros() as usize;
+
+/// The longest path any transfer takes: both full fanout-2 trees plus
+/// the chip router.
+pub(crate) const MAX_HOPS: usize = 2 * MAX_LEVELS + 1;
+
 /// Common behavior of the two interconnects.
 pub trait Interconnect {
-    /// The resources (switches) a transfer occupies, written into `out`
-    /// (cleared first) in path order. The interpreter's hot path reuses
-    /// one scratch vector across millions of transfers instead of
-    /// allocating a fresh path per `Copy`/`Lut`.
-    fn route_into(&self, src: BlockId, dst: BlockId, out: &mut Vec<Resource>);
+    /// Calls `hop` on each resource (switch) a transfer occupies, in
+    /// path order. The interpreter maps the hops straight to timeline
+    /// slots instead of materializing a path per `Copy`/`Lut`.
+    fn for_each_hop(&self, src: BlockId, dst: BlockId, hop: impl FnMut(Resource));
 
     /// Path length of a transfer, without materializing the path.
     fn hops(&self, src: BlockId, dst: BlockId) -> usize;
@@ -74,7 +80,7 @@ pub trait Interconnect {
     /// The resources (switches) a transfer occupies, in path order.
     fn route(&self, src: BlockId, dst: BlockId) -> Vec<Resource> {
         let mut out = Vec::new();
-        self.route_into(src, dst, &mut out);
+        self.for_each_hop(src, dst, |r| out.push(r));
         out
     }
 
@@ -127,10 +133,18 @@ pub trait Interconnect {
 }
 
 /// The H-tree network: a `fanout`-ary switch tree per tile.
+///
+/// The fanout is a power of two, so every switch index is a shift of
+/// the block's within-tile index and every dense slot is a table
+/// lookup: routing takes no division, power or per-level loop.
 #[derive(Debug, Clone)]
 pub struct HTreeNetwork {
-    fanout: u32,
+    /// `log2(fanout)`: the level-`l` switch above a block is its
+    /// within-tile index shifted right by `shift × (l + 1)`.
+    shift: u32,
     levels: u8,
+    /// Dense slot of each level's first switch (see [`Self::switch_slot`]).
+    slot_base: [u32; MAX_LEVELS],
 }
 
 impl HTreeNetwork {
@@ -144,19 +158,23 @@ impl HTreeNetwork {
     /// larger-scale models", §4.2.1).
     ///
     /// # Panics
-    /// Panics unless the fanout divides 256 into whole levels (2, 4, 16).
+    /// Panics unless the fanout divides 256 into whole levels (2, 4, 16,
+    /// 256).
     pub fn with_fanout(fanout: u32) -> Self {
-        let mut remaining = BLOCKS_PER_TILE as u32;
-        let mut levels = 0u8;
-        while remaining > 1 {
-            assert!(
-                remaining.is_multiple_of(fanout),
-                "fanout {fanout} does not evenly tile {BLOCKS_PER_TILE} blocks"
-            );
-            remaining /= fanout;
-            levels += 1;
+        let tile_bits = BLOCKS_PER_TILE.trailing_zeros();
+        assert!(
+            fanout > 1
+                && fanout.is_power_of_two()
+                && tile_bits.is_multiple_of(fanout.trailing_zeros()),
+            "fanout {fanout} does not evenly tile {BLOCKS_PER_TILE} blocks"
+        );
+        let shift = fanout.trailing_zeros();
+        let levels = (tile_bits / shift) as u8;
+        let mut slot_base = [0; MAX_LEVELS];
+        for l in 1..levels as usize {
+            slot_base[l] = slot_base[l - 1] + (BLOCKS_PER_TILE as u32 >> (shift * l as u32));
         }
-        Self { fanout, levels }
+        Self { shift, levels, slot_base }
     }
 
     /// Switch levels per tile.
@@ -164,20 +182,16 @@ impl HTreeNetwork {
         self.levels
     }
 
-    /// Total switches in one tile: `Σ_{l=1..levels} 256 / fanout^l`.
+    /// Total switches in one tile: `Σ_{l=1..levels} 256 / fanout^l`
+    /// (the root is the top level's only switch).
     pub fn switches_per_tile(&self) -> u32 {
-        let mut total = 0;
-        let mut nodes = BLOCKS_PER_TILE as u32;
-        for _ in 0..self.levels {
-            nodes /= self.fanout;
-            total += nodes;
-        }
-        total
+        self.slot_base[self.levels as usize - 1] + 1
     }
 
     /// The level-`l` switch above a block (level 0 = nearest switches).
+    #[inline]
     fn switch_above(&self, within_tile: u32, level: u8) -> u32 {
-        within_tile / self.fanout.pow(level as u32 + 1)
+        within_tile >> (self.shift * (level as u32 + 1))
     }
 
     /// Dense within-tile slot of the level-`level` switch `index`:
@@ -185,16 +199,19 @@ impl HTreeNetwork {
     /// `0..switches_per_tile()` enumerate every switch of one tile
     /// exactly once. Lets a simulator keep per-switch state in a flat
     /// array instead of a hash map.
+    #[inline]
     pub fn switch_slot(&self, level: u8, index: u32) -> u32 {
         debug_assert!(level < self.levels);
-        let mut base = 0;
-        let mut nodes = BLOCKS_PER_TILE as u32;
-        for _ in 0..level {
-            nodes /= self.fanout;
-            base += nodes;
-        }
-        debug_assert!(index < nodes / self.fanout);
-        base + index
+        debug_assert!(index < BLOCKS_PER_TILE as u32 >> (self.shift * (level as u32 + 1)));
+        self.slot_base[level as usize] + index
+    }
+
+    /// Level of the lowest common ancestor of two blocks in one tile:
+    /// the first level whose switch index has shifted out the highest
+    /// bit where the two within-tile indices differ.
+    #[inline]
+    fn lca_level(&self, sw: u32, dw: u32) -> u8 {
+        (sw ^ dw).checked_ilog2().map_or(0, |bit| bit / self.shift) as u8
     }
 }
 
@@ -204,48 +221,32 @@ impl Default for HTreeNetwork {
     }
 }
 
-impl HTreeNetwork {
-    /// Level of the lowest common ancestor of two blocks in one tile.
-    fn lca_level(&self, sw: u32, dw: u32) -> u8 {
-        let mut lca_level = 0u8;
-        while self.switch_above(sw, lca_level) != self.switch_above(dw, lca_level) {
-            lca_level += 1;
-        }
-        lca_level
-    }
-}
-
 impl Interconnect for HTreeNetwork {
-    fn route_into(&self, src: BlockId, dst: BlockId, path: &mut Vec<Resource>) {
-        path.clear();
+    #[inline]
+    fn for_each_hop(&self, src: BlockId, dst: BlockId, mut hop: impl FnMut(Resource)) {
         if src == dst {
             return;
         }
         let (st, dt) = (src.tile(), dst.tile());
-        if st == dt {
-            // Climb to the lowest common ancestor, then descend: the path
-            // occupies each switch from leaf to LCA on both sides (the LCA
-            // once).
-            let (sw, dw) = (src.within_tile(), dst.within_tile());
-            let lca_level = self.lca_level(sw, dw);
-            for l in 0..=lca_level {
-                path.push(Resource::Switch { tile: st, level: l, index: self.switch_above(sw, l) });
-            }
-            for l in (0..lca_level).rev() {
-                path.push(Resource::Switch { tile: dt, level: l, index: self.switch_above(dw, l) });
-            }
+        let (sw, dw) = (src.within_tile(), dst.within_tile());
+        // Within a tile the path climbs to the lowest common ancestor
+        // and descends, occupying the LCA once. Across tiles it climbs
+        // the whole source tree, crosses the chip router and descends
+        // the whole destination tree.
+        let (top, down) = if st == dt {
+            let lca = self.lca_level(sw, dw);
+            (lca, lca)
         } else {
-            // Up the whole source tree, across the chip router, down the
-            // whole destination tree.
-            let sw = src.within_tile();
-            for l in 0..self.levels {
-                path.push(Resource::Switch { tile: st, level: l, index: self.switch_above(sw, l) });
-            }
-            path.push(Resource::ChipRouter);
-            let dw = dst.within_tile();
-            for l in (0..self.levels).rev() {
-                path.push(Resource::Switch { tile: dt, level: l, index: self.switch_above(dw, l) });
-            }
+            (self.levels - 1, self.levels)
+        };
+        for l in 0..=top {
+            hop(Resource::Switch { tile: st, level: l, index: self.switch_above(sw, l) });
+        }
+        if st != dt {
+            hop(Resource::ChipRouter);
+        }
+        for l in (0..down).rev() {
+            hop(Resource::Switch { tile: dt, level: l, index: self.switch_above(dw, l) });
         }
     }
 
@@ -275,20 +276,15 @@ impl BusNetwork {
 }
 
 impl Interconnect for BusNetwork {
-    fn route_into(&self, src: BlockId, dst: BlockId, path: &mut Vec<Resource>) {
-        path.clear();
+    #[inline]
+    fn for_each_hop(&self, src: BlockId, dst: BlockId, mut hop: impl FnMut(Resource)) {
         if src == dst {
             return;
         }
-        let (st, dt) = (src.tile(), dst.tile());
-        if st == dt {
-            path.push(Resource::TileBus { tile: st });
-        } else {
-            path.extend([
-                Resource::TileBus { tile: st },
-                Resource::ChipRouter,
-                Resource::TileBus { tile: dt },
-            ]);
+        hop(Resource::TileBus { tile: src.tile() });
+        if src.tile() != dst.tile() {
+            hop(Resource::ChipRouter);
+            hop(Resource::TileBus { tile: dst.tile() });
         }
     }
 
@@ -339,6 +335,37 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_routing_matches_the_loop_formulas() {
+        // The shift/table forms against the division, power and
+        // per-level loops they replaced, at every level and index.
+        for fanout in [2u32, 4, 16] {
+            let h = HTreeNetwork::with_fanout(fanout);
+            let mut nodes = BLOCKS_PER_TILE as u32;
+            let mut base = 0;
+            for level in 0..h.levels() {
+                nodes /= fanout;
+                for w in 0..BLOCKS_PER_TILE as u32 {
+                    assert_eq!(h.switch_above(w, level), w / fanout.pow(level as u32 + 1));
+                }
+                for index in 0..nodes {
+                    assert_eq!(h.switch_slot(level, index), base + index, "fanout {fanout}");
+                }
+                base += nodes;
+            }
+            assert_eq!(h.switches_per_tile(), base, "fanout {fanout}");
+            for sw in 0..BLOCKS_PER_TILE as u32 {
+                for dw in 0..BLOCKS_PER_TILE as u32 {
+                    let mut lca = 0u8;
+                    while sw / fanout.pow(lca as u32 + 1) != dw / fanout.pow(lca as u32 + 1) {
+                        lca += 1;
+                    }
+                    assert_eq!(h.lca_level(sw, dw), lca, "fanout {fanout}: {sw} → {dw}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn htree_alternative_fanouts() {
         assert_eq!(HTreeNetwork::with_fanout(2).levels(), 8);
         assert_eq!(HTreeNetwork::with_fanout(16).levels(), 2);
@@ -349,6 +376,17 @@ mod tests {
     #[should_panic(expected = "does not evenly tile")]
     fn htree_rejects_bad_fanout() {
         let _ = HTreeNetwork::with_fanout(3);
+    }
+
+    #[test]
+    fn htree_rejects_every_fanout_that_leaves_a_partial_level() {
+        // Fanout 1 never shrinks the tree (the division loop this
+        // replaced spun forever on it); 8 and 32 leave a partial level.
+        for fanout in [0u32, 1, 8, 32, 512] {
+            let built = std::panic::catch_unwind(|| HTreeNetwork::with_fanout(fanout));
+            assert!(built.is_err(), "fanout {fanout} was accepted");
+        }
+        assert_eq!(HTreeNetwork::with_fanout(256).levels(), 1);
     }
 
     #[test]
